@@ -2,8 +2,10 @@
 
 GROUP BY queries F-q3, F-q5, F-q6, F-q7, F-q8 under Scan / ActiveSync /
 ActivePeek, all with the Bernstein+RT bounder — exactly the paper's
-setup. ActiveSync pays one bitmap probe per block; ActivePeek batches
-probes over 1024-block lookahead windows; both fetch identical blocks.
+setup. All three are one cyclic block walk; Sync and Peek differ only in
+its batch size: ActiveSync probes the bitmaps one block at a time,
+ActivePeek once per 1024-block lookahead window, so both fetch identical
+blocks.
 """
 from __future__ import annotations
 

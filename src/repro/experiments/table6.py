@@ -2,11 +2,13 @@
 ActivePeek) with the Bernstein+RT bounder, restricted — as in the
 paper — to the GROUP BY queries (F-q3, F-q5, F-q6, F-q7, F-q8).
 
-Blocks fetched are identical for ActiveSync and ActivePeek by
-construction (they skip the same blocks); the difference is pure
-index-probe overhead: ActiveSync pays one bitmap gather per block (the
-cache-miss analog), ActivePeek one vectorized gather per 1024-block
-lookahead batch. Scan fetches every (predicate-eligible) block.
+All three strategies are one cyclic walk of the scramble. Scan does not
+filter by group and fetches every (predicate-eligible) block. ActiveSync
+and ActivePeek skip blocks holding no active group, and their only
+difference is the walk's batch size: ActiveSync probes the bitmaps one
+block at a time (the cache-miss analog), ActivePeek one vectorized
+gather per 1024-block lookahead batch. So they fetch the same blocks,
+and the difference is pure index-probe overhead.
 """
 from __future__ import annotations
 

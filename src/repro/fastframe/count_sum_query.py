@@ -9,21 +9,24 @@ A single-view scan under the plain ``Scan`` strategy (no block skipping
   ``(1-delta/2)`` AVG CI (union bound, paper §4.1).
 
 Rounds follow the OptStop schedule so the scan may terminate as soon as
-the requested absolute/relative width is reached.
+the requested absolute/relative width is reached. Picking and folding
+are the engine's (:class:`repro.fastframe.engine._Scan`, the same walk
+as ``run_query``'s ``scan`` strategy); this module adds only the
+COUNT/SUM intervals and their stopping rule.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core import vectorized
 from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
 from repro.core.optstop import round_delta
-from repro.fastframe.engine import Prep, _BlockPicker, prepare
+from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan, prepare
 from repro.fastframe.queries import QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -68,48 +71,22 @@ def run_count_sum(
     if spec.group_cols:
         raise ValueError("COUNT/SUM path supports single-view queries only")
 
-    prep: Prep = prepare(scramble, spec)
-    B, R = scramble.n_blocks, scramble.n_rows
-    rows_per_block = scramble.rows_per_block
+    prep = prepare(scramble, spec)
+    R = scramble.n_rows
     round_blocks = max(1, math.ceil(round_rows / scramble.block_size))
     # Plain Scan over ALL blocks: no predicate-bitmap skipping either,
     # otherwise the scanned rows are biased toward matching blocks and
     # the selectivity CI (hence the COUNT lower bound) would break.
-    all_blocks = np.ones(B, dtype=bool)
-    picker = _BlockPicker(B, 0, 1024)
-    fetched = np.zeros(B, dtype=bool)
-    row_starts = np.searchsorted(prep.blk, np.arange(B))
-    row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
+    all_blocks = np.ones(scramble.n_blocks, dtype=bool)
+    scan = _Scan(scramble, prep, all_blocks, 0, LOOKAHEAD_BLOCKS)
 
-    m = 0.0
-    tot = 0.0
-    sq = 0.0
-    vmin, vmax = np.inf, -np.inf
-    r = 0
-    blocks_fetched = 0
     k = 0
-    lo = hi = est = 0.0
-    exhausted = False
     t0 = time.perf_counter()
     while True:
         k += 1
-        picked = picker.pick_scan(fetched, all_blocks, round_blocks)
-        if picked.size == 0:
-            exhausted = True
-        else:
-            fetched[picked] = True
-            blocks_fetched += int(picked.size)
-            r += int(rows_per_block[picked].sum())
-            starts, ends = row_starts[picked], row_ends[picked]
-            sel = [np.arange(s, e) for s, e in zip(starts, ends) if e > s]
-            if sel:
-                idx = np.concatenate(sel)
-                m += float(prep.cnt[idx].sum())
-                tot += float(prep.tot[idx].sum())
-                sq += float(prep.sq[idx].sum())
-                vmin = min(vmin, float(prep.mn[idx].min()))
-                vmax = max(vmax, float(prep.mx[idx].max()))
-
+        exhausted = not scan.fetch(round_blocks)
+        # With no group columns the prep has one group: G = 1, gid = 0.
+        m, tot, r = scan.m[0], scan.tot[0], scan.rows_scanned
         delta_k = round_delta(delta, k)
         if exhausted:
             est = m if agg == "COUNT" else tot
@@ -125,9 +102,9 @@ def run_count_sum(
                 bounder,
                 m,
                 tot,
-                sq,
-                vmin,
-                vmax,
+                scan.sq[0],
+                scan.mn[0],
+                scan.mx[0],
                 prep.a,
                 prep.b,
                 Nplus,
@@ -154,7 +131,7 @@ def run_count_sum(
         hi=float(hi),
         m=int(m),
         rows_scanned=r,
-        blocks_fetched=blocks_fetched,
+        blocks_fetched=scan.blocks_fetched,
         rounds=k,
         wall_seconds=time.perf_counter() - t0,
         exhausted=exhausted,

@@ -6,16 +6,22 @@ per-group statistics into the running state, recomputes per-group
 confidence intervals with the OptStop-decayed budget, and evaluates the
 query's stopping condition over the running intersection of intervals.
 
-Strategies (paper §5.2):
+Every strategy (paper §5.2) is one cyclic walk of the scramble
+(``_BlockPicker.pick``) that skips predicate-ineligible blocks; they
+differ only in whether blocks are also filtered by the active groups'
+bitmaps and in how many blocks one index probe covers:
 
-* ``scan``        — sequential scan of the scramble (predicate-driven
-                    block skipping allowed, no group-driven skipping);
-* ``active_sync`` — active scanning with per-block synchronous bitmap
-                    probes (one index gather per block — the cache-miss
-                    analog);
-* ``active_peek`` — active scanning with 1024-block lookahead batches:
-                    one vectorized probe per batch (the paper's async
-                    lookahead, which amortizes probe cost).
+* ``scan``        — no group filtering (no index probes);
+* ``active_sync`` — group filtering, one probe per block (the
+                    cache-miss analog);
+* ``active_peek`` — group filtering, one vectorized probe per
+                    1024-block lookahead batch (the paper's async
+                    lookahead, which amortizes probe cost). It fetches
+                    the same blocks as ``active_sync``.
+
+The picking and folding primitives (``_Scan``) are shared with the
+COUNT/SUM loop of :mod:`repro.fastframe.count_sum_query`; each loop
+keeps only its own intervals and stopping rule.
 
 The per-query Spark work (per-block group statistics via
 ``groupBy("block_id", *group_cols).agg(...)``, bitmap matrices, group
@@ -52,6 +58,13 @@ from repro.fastframe.queries import Eq, QuerySpec
 from repro.fastframe.scramble import Scramble
 
 LOOKAHEAD_BLOCKS = 1024  # paper §4.3: lookahead batch of 1024 blocks
+BOUNDERS = ("hoeffding", "bernstein", "exact")
+#: Blocks per index probe of each strategy's walk (exact mode walks as scan).
+STRATEGY_BATCH = {
+    "scan": LOOKAHEAD_BLOCKS,
+    "active_sync": 1,
+    "active_peek": LOOKAHEAD_BLOCKS,
+}
 
 
 @dataclass
@@ -64,7 +77,6 @@ class EngineConfig:
     delta: float = 1e-15
     round_rows: int = 40_000  # paper §4.2: bounds recomputed every 40000 rows
     start_block: int = 0
-    lookahead: int = LOOKAHEAD_BLOCKS
 
     def label(self) -> str:
         if self.bounder == "exact":
@@ -188,94 +200,113 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
 
 
 class _BlockPicker:
-    """Chooses the next blocks to fetch, per sampling strategy.
+    """Chooses the next blocks to fetch: one cyclic walk for every strategy.
 
     Visit order starts at ``start_block`` and wraps (the paper starts
     each approximate query at a random scramble position). The walk
-    resumes from a persistent frontier; cycling naturally revisits
-    blocks skipped earlier if their groups become active again, which
-    guarantees every eligible block is eventually fetched (termination
-    with exact results in the worst case).
+    resumes from a persistent frontier and examines ``batch`` blocks at
+    a time. Given group bitmaps, it keeps only blocks holding an active
+    group, probing each batch's candidates in one gather: ActiveSync
+    walks with batch 1 (one index probe per block, the cache-miss
+    analog), ActivePeek with the lookahead batch that amortizes it. While
+    no group becomes active again, both take the same blocks (the blocks
+    a batch passes over after its last take hold no active group).
+    Cycling naturally revisits blocks skipped earlier if their groups
+    become active again, which guarantees every eligible block is
+    eventually fetched (termination with exact results in the worst
+    case).
     """
 
-    def __init__(self, n_blocks: int, start_block: int, lookahead: int):
+    def __init__(self, n_blocks: int, start_block: int, batch: int):
         self.n = n_blocks
-        self.order = (np.arange(n_blocks, dtype=np.int64) + start_block) % n_blocks
+        order = (np.arange(n_blocks, dtype=np.int64) + start_block) % n_blocks
+        # Doubled, so that a batch which wraps around is still one slice.
+        self.order = np.concatenate([order, order])
         self.frontier = 0
-        self.lookahead = lookahead
+        self.batch = batch
         self.probes = 0
 
-    def _cyclic_batch(self, i: int, size: int) -> np.ndarray:
-        idx = (self.frontier + i + np.arange(size)) % self.n
-        return self.order[idx]
+    def pick(self, fetched, eligible, k_blocks, gmatrix=None, active_idx=None):
+        picked: list = []
+        i = 0
+        while i < self.n and len(picked) < k_blocks:
+            size = min(self.batch, self.n - i)
+            pos = (self.frontier + i) % self.n
+            blocks = self.order[pos : pos + size]
+            hits = np.flatnonzero(~fetched[blocks] & eligible[blocks])
+            if gmatrix is not None and hits.size:
+                self.probes += int(active_idx.size * hits.size)
+                hits = hits[gmatrix[np.ix_(active_idx, blocks[hits])].any(axis=0)]
+            take = hits[: k_blocks - len(picked)]
+            picked.extend(blocks[take].tolist())
+            if take.size < hits.size:
+                # The quota filled mid-batch: stop just past the last block
+                # taken, so the eligible blocks left untaken are not skipped.
+                i += int(take[-1]) + 1
+                break
+            i += size
+        self.frontier = (self.frontier + i) % self.n
+        return np.array(picked, dtype=np.int64)
 
-    def _advance(self, i_batch_start, size, taken_pos, n_taken, n_eligible):
-        """Frontier bookkeeping for batched walks.
 
-        If the quota filled mid-batch (some eligible blocks in this batch
-        were left untaken), the frontier must stop just past the last
-        block actually taken so nothing is silently skipped; otherwise it
-        moves past the whole batch. Returns (advance, stop_walk).
+class _Scan:
+    """The round primitives shared by ``run_query`` and ``run_count_sum``.
+
+    Holds the fetched mask, the block walk, the cost counters, the
+    running per-group ``m/tot/sq/mn/mx`` and, per group, the number of
+    eligible blocks not yet fetched (``remaining``; 0 means exhausted).
+    """
+
+    def __init__(self, scramble: Scramble, prep: Prep, eligible, start_block, batch):
+        B, G = scramble.n_blocks, len(prep.groups)
+        self.prep = prep
+        self.eligible = eligible
+        self.rows_per_block = scramble.rows_per_block
+        self.fetched = np.zeros(B, dtype=bool)
+        self.picker = _BlockPicker(B, start_block % B, batch)
+        self.blocks_fetched = 0
+        self.rows_scanned = 0
+        self.m = np.zeros(G, dtype=np.float64)
+        self.tot = np.zeros(G, dtype=np.float64)
+        self.sq = np.zeros(G, dtype=np.float64)
+        self.mn = np.full(G, np.inf)
+        self.mx = np.full(G, -np.inf)
+        self.remaining = (prep.gmatrix & eligible).sum(axis=1).astype(np.int64)
+        # Stat rows are sorted by block id; per-block row ranges let each round
+        # gather exactly the fetched blocks' rows (O(rows fetched), not O(S)).
+        self.row_starts = np.searchsorted(prep.blk, np.arange(B))
+        row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
+        self.row_lens = row_ends - self.row_starts
+
+    def fetch(self, k_blocks: int, active_idx=None) -> bool:
+        """Fetch and fold up to ``k_blocks`` blocks; False if none is left.
+
+        With ``active_idx``, only blocks holding one of those groups count.
         """
-        if n_taken and n_taken < n_eligible:
-            return i_batch_start + int(taken_pos[n_taken - 1]) + 1, True
-        return i_batch_start + size, False
-
-    def pick_scan(self, fetched, static, k_blocks) -> np.ndarray:
-        picked: list = []
-        i = 0
-        while i < self.n:
-            size = min(self.lookahead, self.n - i)
-            blocks = self._cyclic_batch(i, size)
-            elig = np.flatnonzero(~fetched[blocks] & static[blocks])
-            need = k_blocks - len(picked)
-            take = elig[:need]
-            picked.extend(blocks[take].tolist())
-            i, stop = self._advance(i, size, take, take.size, elig.size)
-            if stop or len(picked) >= k_blocks:
-                break
-        self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
-
-    def pick_active_peek(self, fetched, static, gmatrix, active_idx, k_blocks):
-        picked: list = []
-        i = 0
-        while i < self.n:
-            size = min(self.lookahead, self.n - i)
-            blocks = self._cyclic_batch(i, size)
-            cand = np.flatnonzero(~fetched[blocks] & static[blocks])
-            if cand.size:
-                # One vectorized probe per batch: the async-lookahead analog.
-                hit_mask = gmatrix[np.ix_(active_idx, blocks[cand])].any(axis=0)
-                self.probes += int(active_idx.size * cand.size)
-                hits = cand[hit_mask]
-            else:
-                hits = cand
-            need = k_blocks - len(picked)
-            take = hits[:need]
-            picked.extend(blocks[take].tolist())
-            i, stop = self._advance(i, size, take, take.size, hits.size)
-            if stop or len(picked) >= k_blocks:
-                break
-        self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
-
-    def pick_active_sync(self, fetched, static, gmatrix, active_idx, k_blocks):
-        picked: list = []
-        i = 0
-        while len(picked) < k_blocks and i < self.n:
-            b = int(self.order[(self.frontier + i) % self.n])
-            i += 1
-            if fetched[b] or not static[b]:
-                continue
-            # One gather per block: each probe is its own (cache-missing)
-            # index query, the behavior ActivePeek amortizes away.
-            col = gmatrix[active_idx, b]
-            self.probes += int(active_idx.size)
-            if col.any():
-                picked.append(b)
-        self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
+        p = self.prep
+        gmatrix = None if active_idx is None else p.gmatrix
+        picked = self.picker.pick(
+            self.fetched, self.eligible, k_blocks, gmatrix, active_idx
+        )
+        if picked.size == 0:
+            return False
+        self.fetched[picked] = True
+        self.blocks_fetched += int(picked.size)
+        self.rows_scanned += int(self.rows_per_block[picked].sum())
+        self.remaining -= p.gmatrix[:, picked].sum(axis=1)
+        # The picked blocks' stat rows, block by block in pick order (the
+        # bincount sums depend on the order they accumulate in).
+        lens = self.row_lens[picked]
+        sel = np.repeat(self.row_starts[picked] - (np.cumsum(lens) - lens), lens)
+        sel += np.arange(sel.size)
+        g = p.gid[sel]
+        G = self.m.size
+        self.m += np.bincount(g, weights=p.cnt[sel], minlength=G)
+        self.tot += np.bincount(g, weights=p.tot[sel], minlength=G)
+        self.sq += np.bincount(g, weights=p.sq[sel], minlength=G)
+        np.minimum.at(self.mn, g, p.mn[sel])
+        np.maximum.at(self.mx, g, p.mx[sel])
+        return True
 
 
 def run_query(
@@ -283,80 +314,41 @@ def run_query(
 ) -> QueryResult:
     """Execute one approximate (or exact) query through the scan engine."""
     config = config or EngineConfig()
+    if config.bounder not in BOUNDERS:
+        raise ValueError(f"unknown bounder {config.bounder!r}")
+    if config.strategy not in STRATEGY_BATCH:
+        raise ValueError(f"unknown strategy {config.strategy!r}")
     prep = prepare(scramble, spec)
     G = len(prep.groups)
-    B = scramble.n_blocks
     R = scramble.n_rows
-    rows_per_block = scramble.rows_per_block
     exact_mode = config.bounder == "exact"
+    strategy = "scan" if exact_mode else config.strategy
     delta_group = config.delta / max(1, G)
     round_blocks = max(1, math.ceil(config.round_rows / scramble.block_size))
 
-    # Running per-group state
-    m = np.zeros(G, dtype=np.float64)
-    tot = np.zeros(G, dtype=np.float64)
-    sq = np.zeros(G, dtype=np.float64)
-    mn = np.full(G, np.inf)
-    mx = np.full(G, -np.inf)
+    scan = _Scan(
+        scramble, prep, prep.static_mask, config.start_block, STRATEGY_BATCH[strategy]
+    )
+    m, tot = scan.m, scan.tot  # folded in place each round
     inter = RunningIntersection(G, prep.a, prep.b)
-    fetched = np.zeros(B, dtype=bool)
     active = np.ones(G, dtype=bool)
-    picker = _BlockPicker(B, config.start_block % B, config.lookahead)
-    # Incremental exhaustion tracking: remaining eligible blocks per group.
-    remaining = (prep.gmatrix & prep.static_mask).sum(axis=1).astype(np.int64)
-    # Stat rows are sorted by block id; per-block row ranges let each round
-    # gather exactly the fetched blocks' rows (O(rows fetched), not O(S)).
-    row_starts = np.searchsorted(prep.blk, np.arange(B))
-    row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
 
-    blocks_fetched = 0
-    rows_scanned = 0
     k_round = 0
     exhausted_all = False
     est = np.full(G, 0.5 * (prep.a + prep.b))
     lo = np.full(G, prep.a)
     hi = np.full(G, prep.b)
-    exhausted = np.zeros(G, dtype=bool)
 
     t0 = time.perf_counter()
     while True:
         k_round += 1
-        if exact_mode or config.strategy == "scan":
-            picked = picker.pick_scan(fetched, prep.static_mask, round_blocks)
-        else:
+        active_idx = None
+        if strategy != "scan":
             active_idx = np.flatnonzero(active)
             if active_idx.size == 0:
                 exhausted_all = True
                 break
-            if config.strategy == "active_peek":
-                picked = picker.pick_active_peek(
-                    fetched, prep.static_mask, prep.gmatrix, active_idx, round_blocks
-                )
-            elif config.strategy == "active_sync":
-                picked = picker.pick_active_sync(
-                    fetched, prep.static_mask, prep.gmatrix, active_idx, round_blocks
-                )
-            else:
-                raise ValueError(f"unknown strategy {config.strategy!r}")
-
-        if picked.size == 0:
-            exhausted_all = True
-        else:
-            fetched[picked] = True
-            blocks_fetched += int(picked.size)
-            rows_scanned += int(rows_per_block[picked].sum())
-            remaining -= prep.gmatrix[:, picked].sum(axis=1)
-            starts, ends = row_starts[picked], row_ends[picked]
-            sel = np.concatenate(
-                [np.arange(s, e) for s, e in zip(starts, ends) if e > s]
-            ) if np.any(ends > starts) else np.empty(0, dtype=np.int64)
-            if sel.size:
-                g = prep.gid[sel]
-                m += np.bincount(g, weights=prep.cnt[sel], minlength=G)
-                tot += np.bincount(g, weights=prep.tot[sel], minlength=G)
-                sq += np.bincount(g, weights=prep.sq[sel], minlength=G)
-                np.minimum.at(mn, g, prep.mn[sel])
-                np.maximum.at(mx, g, prep.mx[sel])
+        exhausted_all = not scan.fetch(round_blocks, active_idx)
 
         if exact_mode:
             if exhausted_all:
@@ -366,16 +358,16 @@ def run_query(
         # Per-group view-size upper bound N+ (Theorem 3) and CIs with the
         # OptStop round budget (Algorithm 5 / Theorem 4).
         delta_k = round_delta(delta_group, k_round)
-        r_eff = max(1, rows_scanned)
+        r_eff = max(1, scan.rows_scanned)
         Nplus = n_plus(m, r_eff, R, delta_k)
         Nplus = np.maximum(Nplus, m)  # guard: a legal size is >= the sample
         lo_k, hi_k = vectorized.ci(
             config.bounder,
             m,
             tot,
-            sq,
-            mn,
-            mx,
+            scan.sq,
+            scan.mn,
+            scan.mx,
             prep.a,
             prep.b,
             Nplus,
@@ -384,7 +376,7 @@ def run_query(
         )
         inter.update(lo_k, hi_k)
 
-        exhausted = remaining <= 0
+        exhausted = scan.remaining <= 0
 
         est = np.where(m > 0, tot / np.maximum(m, 1.0), 0.5 * (prep.a + prep.b))
         lo, hi = inter.lo.copy(), inter.hi.copy()
@@ -412,7 +404,6 @@ def run_query(
         est = np.where(m > 0, tot / np.maximum(m, 1.0), np.nan)
         lo = est.copy()
         hi = est.copy()
-        exhausted = np.ones(G, dtype=bool)
 
     wall = time.perf_counter() - t0
 
@@ -421,19 +412,19 @@ def run_query(
     return QueryResult(
         query=spec.name,
         label=config.label(),
-        strategy="scan" if exact_mode else config.strategy,
+        strategy=strategy,
         groups=[g for g, al in zip(prep.groups, alive) if al],
         est=est[alive],
         lo=lo[alive],
         hi=hi[alive],
         m=m[alive],
         decision=decision,
-        blocks_fetched=blocks_fetched,
-        rows_scanned=rows_scanned,
+        blocks_fetched=scan.blocks_fetched,
+        rows_scanned=scan.rows_scanned,
         rounds=k_round,
         wall_seconds=wall,
         prep_seconds=prep.prep_seconds,
-        index_probes=picker.probes,
+        index_probes=scan.picker.probes,
         exhausted_all=exhausted_all,
     )
 

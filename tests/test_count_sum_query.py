@@ -30,6 +30,16 @@ def test_count_with_predicate(scramble, flights_pdf):
     assert res.exhausted and res.estimate == truth
 
 
+def test_predicate_does_not_skip_blocks(scramble):
+    """Lemma 5 needs an unskipped scan: a bitmap-indexable predicate must
+    not let the COUNT/SUM scan skip blocks."""
+    spec = _spec((Q.Eq("Origin", "ORD"),))
+    for agg in ("COUNT", "SUM"):
+        res = run_count_sum(scramble, spec, agg, round_rows=ROUND)
+        assert res.exhausted
+        assert res.blocks_fetched == scramble.n_blocks
+
+
 def test_count_early_stop_encloses_truth(scramble, flights_pdf):
     spec = _spec((Q.Eq("Origin", "ORD"),))
     res = run_count_sum(

@@ -20,6 +20,7 @@ from repro.experiments.ground_truth import (
     exact_decision,
     flights_pandas,
 )
+from repro.fastframe import engine
 from repro.fastframe import queries as Q
 from repro.fastframe.engine import EngineConfig, prepare, run_query
 from repro.oracle import assert_equivalent
@@ -128,6 +129,9 @@ def test_sync_and_peek_fetch_identical_blocks(scramble):
     )
     assert r_sync.blocks_fetched == r_peek.blocks_fetched
     assert r_sync.rows_scanned == r_peek.rows_scanned
+    assert r_sync.rounds == r_peek.rounds
+    np.testing.assert_array_equal(r_sync.lo, r_peek.lo)
+    np.testing.assert_array_equal(r_sync.hi, r_peek.hi)
 
 
 def test_active_fetches_at_most_scan(scramble):
@@ -216,9 +220,18 @@ def test_empty_view_groups_dropped(scramble):
     assert all(m > 0 for m in res.m)
 
 
-def test_unknown_strategy_raises(scramble):
-    with pytest.raises(ValueError):
-        run_query(scramble, Q.fq9(), _cfg(bounder="bernstein", strategy="bogus"))
+def test_unknown_strategy_raises(scramble, monkeypatch):
+    def no_prep(*_):
+        raise AssertionError("config must be checked before the Spark prep")
+
+    monkeypatch.setattr(engine, "prepare", no_prep)
+    for bounder, strategy in [
+        ("bernstein", "bogus"),
+        ("exact", "bogus"),
+        ("bogus", "active_peek"),
+    ]:
+        with pytest.raises(ValueError):
+            run_query(scramble, Q.fq9(), _cfg(bounder=bounder, strategy=strategy))
 
 
 def test_fq4_decision_value(scramble, flights_pdf):

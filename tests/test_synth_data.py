@@ -1,20 +1,10 @@
-"""Tests for the synthetic data generators (FLIGHTS-lite + TPC-H-lite)."""
+"""Tests for the synthetic data generators (FLIGHTS-lite)."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.synth_data import (
-    FLIGHT_AIRLINES,
-    FLIGHT_DELAY_MIN,
-    customer,
-    flights,
-    lineitem,
-    orders,
-    part,
-    uniform_keys,
-    zipf_keys,
-)
+from repro.synth_data import FLIGHT_AIRLINES, FLIGHT_DELAY_MIN, flights
 
 
 def test_flights_schema(flights_df):
@@ -96,18 +86,3 @@ def test_flights_dow_effect_monotone(flights_pdf):
     means = flights_pdf.groupby("DayOfWeek").DepDelay.mean()
     assert means.loc[7] > means.loc[1]  # weekend worse than Monday
 
-
-# --- provided TPC-H-lite generators stay functional -----------------------
-
-@pytest.mark.parametrize("gen", [lineitem, orders, customer, part])
-def test_tpch_lite_generators(spark, gen):
-    df = gen(spark, sf=0.001)
-    assert df.count() > 0
-
-
-def test_key_generators(spark):
-    z = zipf_keys(spark, n=1000, n_keys=50).toPandas()
-    u = uniform_keys(spark, n=1000, n_keys=50).toPandas()
-    assert z.k.nunique() <= 50 and u.k.nunique() <= 50
-    # zipf is more skewed than uniform
-    assert z.k.value_counts().iloc[0] > u.k.value_counts().iloc[0]
