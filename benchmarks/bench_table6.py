@@ -17,7 +17,7 @@ from repro.experiments.ground_truth import (
     flights_pandas,
 )
 from repro.experiments.table6 import STRATEGY_LABELS, TABLE6_QUERIES
-from repro.fastframe.engine import EngineConfig, prepare, run_query
+from repro.fastframe.engine import EngineConfig, run_query
 from repro.fastframe.queries import ALL_QUERIES
 
 
@@ -27,7 +27,6 @@ from repro.fastframe.queries import ALL_QUERIES
 @pytest.mark.parametrize("query", TABLE6_QUERIES)
 def test_table6_cell(benchmark, bench_scramble, collector, query, strategy):
     spec = ALL_QUERIES[query]()
-    prepare(bench_scramble, spec)
     truth = exact_decision(spec, flights_pandas(bench_scramble))
     cfg = EngineConfig(bounder="bernstein", range_trim=True, strategy=strategy)
 

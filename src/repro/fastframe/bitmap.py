@@ -3,24 +3,20 @@
 For a categorical column, the index records for every (value, block)
 pair whether the block contains at least one row with that value —
 exactly the information FastFrame's active scanning needs to decide
-whether a block can contribute tuples to an active group. Built with a
-single Spark ``distinct`` aggregation per column and materialized as a
-dense NumPy boolean matrix ``[n_values, n_blocks]`` on the driver
-(tens of MB at benchmark scale).
+whether a block can contribute tuples to an active group. It is built
+from the scramble's column store with one NumPy scatter of the
+column's codes into a dense boolean matrix ``[n_values, n_blocks]``.
 
-Composite GROUP BY keys (e.g. F-q6's ``DayOfWeek, Origin``) use the
-conjunction of the per-column bitmaps — a superset of the blocks that
-contain the exact pair, which is what a real per-column bitmap index
-gives you (occasional false-positive block fetches, never false
-negatives).
+Composite GROUP BY keys (e.g. F-q6's ``DayOfWeek, Origin``) get the
+same scatter over composite codes, so their matrix is exact: a group's
+row marks exactly the blocks holding at least one of its rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from pyspark.sql import functions as F
 
 from repro.fastframe.scramble import Scramble
 
@@ -43,20 +39,17 @@ class ColumnBitmap:
         return self.matrix[idx]
 
 
+def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """bool [n_codes, n_blocks]: does the block hold a row of the code."""
+    matrix = np.zeros((n_codes, scramble.n_blocks), dtype=bool)
+    matrix[codes, np.arange(codes.size) // scramble.block_size] = True
+    return matrix
+
+
 def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
-    """One Spark aggregation: distinct (value, block_id) pairs -> matrix."""
-    pdf = (
-        scramble.df.select(F.col(column).alias("v"), "block_id")
-        .distinct()
-        .toPandas()
-    )
-    values = sorted(pdf["v"].unique().tolist())
-    index = {v: i for i, v in enumerate(values)}
-    matrix = np.zeros((len(values), scramble.n_blocks), dtype=bool)
-    matrix[
-        pdf["v"].map(index).to_numpy(), pdf["block_id"].to_numpy()
-    ] = True
-    return ColumnBitmap(column=column, values=values, matrix=matrix)
+    """One scatter of the column's codes -> matrix."""
+    values, codes = scramble.store.codes(column)
+    return ColumnBitmap(column, values, _presence(scramble, codes, len(values)))
 
 
 def get_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
@@ -67,42 +60,29 @@ def get_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
     return scramble.prep_cache[key]
 
 
-def group_domain(scramble: Scramble, group_cols: Sequence[str]) -> List[Tuple]:
-    """Distinct group keys present in the (unfiltered) relation.
+def group_domain(
+    scramble: Scramble, group_cols: Sequence[str]
+) -> Tuple[List[Tuple], np.ndarray]:
+    """Sorted distinct group keys present in the (unfiltered) relation,
+    and each row's index into them.
 
-    This is the "number of aggregate views (or an upper bound)" that the
-    per-query confidence budget is divided by, and the row universe of
-    the per-group bitmap matrix.
+    The keys are the "number of aggregate views (or an upper bound)"
+    that the per-query confidence budget is divided by, and the row
+    universe of the per-group bitmap matrix.
     """
-    key = ("domain", tuple(group_cols))
-    if key not in scramble.prep_cache:
-        pdf = scramble.df.select(*group_cols).distinct().toPandas()
-        scramble.prep_cache[key] = sorted(
-            tuple(r) for r in pdf.itertuples(index=False, name=None)
-        )
-    return scramble.prep_cache[key]
+    per_col = [scramble.store.codes(c) for c in group_cols]
+    shape = tuple(len(values) for values, _ in per_col)
+    # Composite codes in row-major order sort like the key tuples.
+    flat = np.ravel_multi_index([codes for _, codes in per_col], shape)
+    keys, gid = np.unique(flat, return_inverse=True)
+    idx = np.unravel_index(keys, shape)
+    columns = [[values[i] for i in ix] for (values, _), ix in zip(per_col, idx)]
+    return list(zip(*columns)), gid
 
 
 def group_bitmap_matrix(
     scramble: Scramble, group_cols: Sequence[str]
-) -> Tuple[List[Tuple], np.ndarray]:
-    """Per-group presence matrix [n_groups, n_blocks].
-
-    Single columns use the column bitmap directly; composite keys AND
-    the per-column bitmaps (conservative superset, see module doc).
-    """
-    key = ("group_matrix", tuple(group_cols))
-    if key in scramble.prep_cache:
-        return scramble.prep_cache[key]
-    domain = group_domain(scramble, group_cols)
-    col_bitmaps: Dict[str, ColumnBitmap] = {
-        c: get_column_bitmap(scramble, c) for c in group_cols
-    }
-    matrix = np.ones((len(domain), scramble.n_blocks), dtype=bool)
-    for j, c in enumerate(group_cols):
-        bm = col_bitmaps[c]
-        idx = {v: i for i, v in enumerate(bm.values)}
-        rows = np.array([idx[g[j]] for g in domain], dtype=np.int64)
-        matrix &= bm.matrix[rows]
-    scramble.prep_cache[key] = (domain, matrix)
-    return domain, matrix
+) -> Tuple[List[Tuple], np.ndarray, np.ndarray]:
+    """Group keys, each row's group and the presence matrix [n_groups, n_blocks]."""
+    groups, gid = group_domain(scramble, group_cols)
+    return groups, gid, _presence(scramble, gid, len(groups))

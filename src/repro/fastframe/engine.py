@@ -23,14 +23,14 @@ The picking and folding primitives (``_Scan``) are shared with the
 COUNT/SUM loop of :mod:`repro.fastframe.count_sum_query`; each loop
 keeps only its own intervals and stopping rule.
 
-The per-query Spark work (per-block group statistics via
-``groupBy("block_id", *group_cols).agg(...)``, bitmap matrices, group
-domains) is prepared once per query signature and cached on the
-Scramble; it is timed separately (``prep_seconds``) since it is
-bounder/strategy-independent. The round loop itself is pure NumPy whose
-work is proportional to blocks fetched — the same cost structure as the
-paper's in-memory engine, and the loop wall-clock is what the
-experiment harnesses report.
+A query's prep (``prepare``) reads the scramble's driver-resident
+column store: the predicate's row mask, each row's group, the group
+bitmaps and the predicate-eligible blocks, all in NumPy. Each round
+then gathers the picked blocks' rows (block ``b`` is rows
+``[b*block_size, (b+1)*block_size)``) and folds the masked values into
+the per-group statistics, so the work of a query is proportional to
+the blocks it fetches — the cost structure of the paper's in-memory
+engine. ``wall_seconds`` times the round loop.
 
 Confidence budget chain (all documented in DESIGN.md): per-query
 ``delta`` is divided by the group-domain size ``G`` (number of
@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core import vectorized
 from repro.core.count_sum import ALPHA, n_plus
@@ -92,16 +91,11 @@ class Prep:
     groups: List[Tuple]
     gmatrix: np.ndarray  # bool [G, B] — group presence per block
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
-    blk: np.ndarray  # per stat-row block id
-    gid: np.ndarray  # per stat-row group index
-    cnt: np.ndarray
-    tot: np.ndarray
-    sq: np.ndarray
-    mn: np.ndarray
-    mx: np.ndarray
+    rows: np.ndarray  # bool [R] — rows satisfying the predicate
+    gid: np.ndarray  # int [R] — each row's group index
+    values: np.ndarray  # float [R] — the measure column, in row order
     a: float
     b: float
-    prep_seconds: float
 
 
 @dataclass
@@ -121,7 +115,6 @@ class QueryResult:
     rows_scanned: int
     rounds: int
     wall_seconds: float
-    prep_seconds: float
     index_probes: int
     exhausted_all: bool
 
@@ -138,65 +131,34 @@ class QueryResult:
 
 
 def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
-    """Spark-side prep: block stats + bitmaps, cached per query signature."""
-    key = ("prep", spec.signature())
-    if key in scramble.prep_cache:
-        return scramble.prep_cache[key]
-    t0 = time.perf_counter()
-
+    """Per-query prep from the column store: row mask, groups, bitmaps."""
     a, b = scramble.catalog.bounds(spec.agg_col)
+    store = scramble.store
 
     if spec.group_cols:
-        groups, gmatrix = group_bitmap_matrix(scramble, spec.group_cols)
+        groups, gid, gmatrix = group_bitmap_matrix(scramble, spec.group_cols)
     else:
         groups = [()]
+        gid = np.zeros(scramble.n_rows, dtype=np.int64)
         gmatrix = np.ones((1, scramble.n_blocks), dtype=bool)
 
     static = np.ones(scramble.n_blocks, dtype=bool)
+    rows = np.ones(scramble.n_rows, dtype=bool)
     for p in spec.predicate:
         if isinstance(p, Eq):
             static &= get_column_bitmap(scramble, p.col).row(p.value)
+        rows &= p.row_mask(store)
 
-    df = scramble.df
-    pred = spec.predicate_spark()
-    if pred is not None:
-        df = df.filter(pred)
-    v = F.col(spec.agg_col)
-    agg = df.groupBy("block_id", *spec.group_cols).agg(
-        F.count(v).alias("cnt"),
-        F.sum(v).alias("tot"),
-        F.sum(v * v).alias("sq"),
-        F.min(v).alias("mn"),
-        F.max(v).alias("mx"),
-    )
-    pdf = agg.toPandas().sort_values("block_id", kind="stable")
-
-    if spec.group_cols:
-        gindex = {g: i for i, g in enumerate(groups)}
-        keys = list(
-            zip(*(pdf[c].tolist() for c in spec.group_cols))
-        )
-        gid = np.array([gindex[k] for k in keys], dtype=np.int64)
-    else:
-        gid = np.zeros(len(pdf), dtype=np.int64)
-
-    prep = Prep(
+    return Prep(
         groups=groups,
         gmatrix=gmatrix,
         static_mask=static,
-        blk=pdf["block_id"].to_numpy(dtype=np.int64),
+        rows=rows,
         gid=gid,
-        cnt=pdf["cnt"].to_numpy(dtype=np.float64),
-        tot=pdf["tot"].to_numpy(dtype=np.float64),
-        sq=pdf["sq"].to_numpy(dtype=np.float64),
-        mn=pdf["mn"].to_numpy(dtype=np.float64),
-        mx=pdf["mx"].to_numpy(dtype=np.float64),
+        values=store.columns[spec.agg_col].astype(np.float64, copy=False),
         a=float(a),
         b=float(b),
-        prep_seconds=time.perf_counter() - t0,
     )
-    scramble.prep_cache[key] = prep
-    return prep
 
 
 class _BlockPicker:
@@ -261,7 +223,8 @@ class _Scan:
         B, G = scramble.n_blocks, len(prep.groups)
         self.prep = prep
         self.eligible = eligible
-        self.rows_per_block = scramble.rows_per_block
+        self.n_rows = scramble.n_rows
+        self.block_size = scramble.block_size
         self.fetched = np.zeros(B, dtype=bool)
         self.picker = _BlockPicker(B, start_block % B, batch)
         self.blocks_fetched = 0
@@ -272,11 +235,6 @@ class _Scan:
         self.mn = np.full(G, np.inf)
         self.mx = np.full(G, -np.inf)
         self.remaining = (prep.gmatrix & eligible).sum(axis=1).astype(np.int64)
-        # Stat rows are sorted by block id; per-block row ranges let each round
-        # gather exactly the fetched blocks' rows (O(rows fetched), not O(S)).
-        self.row_starts = np.searchsorted(prep.blk, np.arange(B))
-        row_ends = np.searchsorted(prep.blk, np.arange(B), side="right")
-        self.row_lens = row_ends - self.row_starts
 
     def fetch(self, k_blocks: int, active_idx=None) -> bool:
         """Fetch and fold up to ``k_blocks`` blocks; False if none is left.
@@ -292,20 +250,22 @@ class _Scan:
             return False
         self.fetched[picked] = True
         self.blocks_fetched += int(picked.size)
-        self.rows_scanned += int(self.rows_per_block[picked].sum())
         self.remaining -= p.gmatrix[:, picked].sum(axis=1)
-        # The picked blocks' stat rows, block by block in pick order (the
-        # bincount sums depend on the order they accumulate in).
-        lens = self.row_lens[picked]
-        sel = np.repeat(self.row_starts[picked] - (np.cumsum(lens) - lens), lens)
-        sel += np.arange(sel.size)
-        g = p.gid[sel]
+        # The picked blocks' rows, block by block in pick order (the bincount
+        # sums depend on the order they accumulate in); the last block may
+        # be short.
+        bs = self.block_size
+        rows = (picked[:, None] * bs + np.arange(bs)).ravel()
+        rows = rows[rows < self.n_rows]
+        self.rows_scanned += int(rows.size)
+        rows = rows[p.rows[rows]]
+        g, v = p.gid[rows], p.values[rows]
         G = self.m.size
-        self.m += np.bincount(g, weights=p.cnt[sel], minlength=G)
-        self.tot += np.bincount(g, weights=p.tot[sel], minlength=G)
-        self.sq += np.bincount(g, weights=p.sq[sel], minlength=G)
-        np.minimum.at(self.mn, g, p.mn[sel])
-        np.maximum.at(self.mx, g, p.mx[sel])
+        self.m += np.bincount(g, minlength=G)
+        self.tot += np.bincount(g, weights=v, minlength=G)
+        self.sq += np.bincount(g, weights=v * v, minlength=G)
+        np.minimum.at(self.mn, g, v)
+        np.maximum.at(self.mx, g, v)
         return True
 
 
@@ -423,7 +383,6 @@ def run_query(
         rows_scanned=scan.rows_scanned,
         rounds=k_round,
         wall_seconds=wall,
-        prep_seconds=prep.prep_seconds,
         index_probes=scan.picker.probes,
         exhausted_all=exhausted_all,
     )

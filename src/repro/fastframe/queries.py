@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+import numpy as np
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
@@ -37,6 +38,9 @@ class Eq:
     def to_spark(self) -> Column:
         return F.col(self.col) == F.lit(self.value)
 
+    def row_mask(self, store) -> np.ndarray:
+        return store.equals(self.col, self.value)
+
     def to_sql(self) -> str:
         v = f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
         return f"{self.col} = {v}"
@@ -51,6 +55,9 @@ class Gt:
 
     def to_spark(self) -> Column:
         return F.col(self.col) > F.lit(self.value)
+
+    def row_mask(self, store) -> np.ndarray:
+        return store.columns[self.col] > self.value
 
     def to_sql(self) -> str:
         return f"{self.col} > {self.value}"
@@ -76,7 +83,7 @@ class QuerySpec:
     params: dict = field(default_factory=dict)
 
     def signature(self):
-        """Cache key for Spark-side prep (predicate + grouping + measure)."""
+        """The query's view: predicate, grouping and measure."""
         return (self.predicate, self.group_cols, self.agg_col)
 
     def predicate_spark(self) -> Optional[Column]:

@@ -1,4 +1,4 @@
-"""Scramble construction (paper Definition 4).
+"""Scramble construction (paper Definition 4) and its column store.
 
 A scramble is a randomly permuted copy of a relation, laid out in
 fixed-size blocks (the paper uses 25 rows/block), so that a sequential
@@ -6,20 +6,24 @@ scan — or any adaptively chosen subset of blocks — yields a uniform
 without-replacement sample of every aggregate view. The one-time
 shuffle cost is paid offline and amortized over all subsequent queries.
 
-Built entirely with the DataFrame API: ``rand(seed)`` ordering, a
+The shuffle is built with the DataFrame API: ``rand(seed)`` ordering, a
 window ``row_number`` for positions, and integer division for block
-ids. The resulting DataFrame is cached; per-query preparation artifacts
-(block statistics, bitmap matrices) are cached on the Scramble object
-keyed by query signature so ablation runs over the same query pay the
-Spark cost once.
+ids. One Arrow collect then copies the rows to the driver as a
+:class:`ColumnStore`, the in-memory column store the paper's FastFrame
+reads block by block: block ``b`` is rows ``[b*block_size,
+(b+1)*block_size)`` of every column. Queries, bitmaps and group domains
+are computed from the store in NumPy; the Spark DataFrame stays for the
+ground truth and the exact baselines.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -29,27 +33,73 @@ DEFAULT_BLOCK_SIZE = 25  # paper §4.3: "we set the block size to 25 rows"
 
 
 @dataclass
+class ColumnStore:
+    """The scramble's columns on the driver, in ``row_id`` order.
+
+    Numeric columns hold their values; string columns hold int codes
+    into ``values[column]``, the column's sorted distinct values.
+    """
+
+    columns: Dict[str, np.ndarray]
+    values: Dict[str, List]
+
+    def codes(self, column: str) -> Tuple[List, np.ndarray]:
+        """The column's sorted distinct values and each row's index into them."""
+        if column in self.values:
+            return self.values[column], self.columns[column]
+        values, codes = np.unique(self.columns[column], return_inverse=True)
+        return values.tolist(), codes
+
+    def equals(self, column: str, value) -> np.ndarray:
+        """Row mask of ``column == value``."""
+        col = self.columns[column]
+        if column not in self.values:
+            return col == value
+        values = self.values[column]
+        return col == (values.index(value) if value in values else -1)
+
+
+def build_store(df: DataFrame) -> ColumnStore:
+    """Copy a scramble's rows to the driver with one Arrow collect.
+
+    Arrow rather than pandas keeps strings out of Python objects, which
+    lowers the driver's peak memory.
+    """
+    table = df.drop("block_id").toArrow()
+    if any(col.null_count for col in table.columns):
+        raise ValueError("the column store does not hold NULLs")
+    order = np.argsort(table.column("row_id").to_numpy())
+    columns, values = {}, {}
+    for name in table.column_names:
+        if name == "row_id":
+            continue
+        col = table.column(name)
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            distinct = pc.unique(col).sort()
+            values[name] = distinct.to_pylist()
+            col = pc.index_in(col, value_set=distinct)
+        columns[name] = col.to_numpy()[order]
+    return ColumnStore(columns, values)
+
+
+@dataclass
 class Scramble:
     """A shuffled, block-addressed copy of a relation plus its catalog."""
 
     df: DataFrame
+    store: ColumnStore
     n_rows: int
     block_size: int
     n_blocks: int
     catalog: Catalog
     seed: int
-    #: per-query-prep cache: signature -> prepared artifacts (engine-owned)
+    #: cached offline artifacts (column bitmaps, the oracle's rows)
     prep_cache: Dict[Any, Any] = field(default_factory=dict)
-
-    def rows_in_block(self, block_id: int) -> int:
-        if block_id < self.n_blocks - 1:
-            return self.block_size
-        return self.n_rows - self.block_size * (self.n_blocks - 1)
 
     @property
     def rows_per_block(self) -> np.ndarray:
         out = np.full(self.n_blocks, self.block_size, dtype=np.int64)
-        out[-1] = self.rows_in_block(self.n_blocks - 1)
+        out[-1] = self.n_rows - self.block_size * (self.n_blocks - 1)
         return out
 
 
@@ -77,9 +127,9 @@ def build_scramble(
         )
         .persist()
     )
-    scrambled.count()  # materialize so later scans reuse the cache
     return Scramble(
         df=scrambled,
+        store=build_store(scrambled),  # also fills the DataFrame's cache
         n_rows=n_rows,
         block_size=block_size,
         n_blocks=math.ceil(n_rows / block_size),

@@ -34,40 +34,44 @@ def test_bitmap_cached(scramble):
 
 
 def test_group_domain_matches_distinct(scramble, flights_pdf):
-    dom = group_domain(scramble, ("Airline",))
+    dom, _ = group_domain(scramble, ("Airline",))
     assert sorted(g[0] for g in dom) == sorted(flights_pdf.Airline.unique())
 
 
 def test_pair_domain(scramble, flights_pdf):
-    dom = group_domain(scramble, ("DayOfWeek", "Origin"))
+    dom, gid = group_domain(scramble, ("DayOfWeek", "Origin"))
     expected = set(
         flights_pdf[["DayOfWeek", "Origin"]].drop_duplicates().itertuples(
             index=False, name=None
         )
     )
     assert set(dom) == expected
+    assert dom == sorted(dom)
+    pdf = scramble.df.orderBy("row_id").select("DayOfWeek", "Origin").toPandas()
+    assert [dom[i] for i in gid] == list(pdf.itertuples(index=False, name=None))
 
 
 def test_single_column_group_matrix(scramble):
-    groups, matrix = group_bitmap_matrix(scramble, ("Airline",))
+    groups, _, matrix = group_bitmap_matrix(scramble, ("Airline",))
     bm = get_column_bitmap(scramble, "Airline")
     for i, g in enumerate(groups):
         assert np.array_equal(matrix[i], bm.row(g[0]))
 
 
-def test_pair_matrix_is_conjunction_superset(scramble):
-    """AND of per-column bitmaps: never a false negative for the pair."""
-    groups, matrix = group_bitmap_matrix(scramble, ("DayOfWeek", "Origin"))
+def test_pair_matrix_is_exact(scramble):
+    """F-q6's composite matrix marks exactly the blocks holding each pair."""
+    groups, _, matrix = group_bitmap_matrix(scramble, ("DayOfWeek", "Origin"))
     pdf = scramble.df.select("DayOfWeek", "Origin", "block_id").toPandas()
-    gindex = {g: i for i, g in enumerate(groups)}
-    for (d, o), sub in list(pdf.groupby(["DayOfWeek", "Origin"]))[:10]:
-        true_blocks = np.zeros(scramble.n_blocks, dtype=bool)
-        true_blocks[sub.block_id.unique()] = True
-        # conjunction covers every block that truly contains the pair
-        assert not np.any(true_blocks & ~matrix[gindex[(d, o)]])
+    expected = np.zeros_like(matrix)
+    for i, ((d, o), sub) in enumerate(pdf.groupby(["DayOfWeek", "Origin"])):
+        assert groups[i] == (d, o)
+        expected[i, sub.block_id.unique()] = True
+    assert len(groups) == i + 1
+    assert np.array_equal(matrix, expected)
 
 
 def test_matrix_shapes(scramble):
-    groups, matrix = group_bitmap_matrix(scramble, ("Origin",))
+    groups, gid, matrix = group_bitmap_matrix(scramble, ("Origin",))
+    assert gid.shape == (scramble.n_rows,)
     assert matrix.shape == (len(groups), scramble.n_blocks)
     assert matrix.dtype == bool

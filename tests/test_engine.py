@@ -11,9 +11,12 @@ The central invariants, per the paper's evaluation protocol (§5.3):
 """
 from __future__ import annotations
 
+import dataclasses
+
+import duckdb
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.experiments.ground_truth import (
     decision_correct,
@@ -22,7 +25,10 @@ from repro.experiments.ground_truth import (
 )
 from repro.fastframe import engine
 from repro.fastframe import queries as Q
+from repro.fastframe.bitmap import get_column_bitmap
+from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
+from repro.fastframe.scramble import build_scramble
 from repro.oracle import assert_equivalent
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
@@ -54,8 +60,6 @@ def truth(scramble):
 def test_exact_engine_matches_spark_groupby(scramble, flights_pdf):
     spec = Q.fq9()
     res = run_query(scramble, spec, _cfg(bounder="exact", strategy="scan"))
-    import pandas as pd
-
     got_pdf = pd.DataFrame(
         {"Airline": [g[0] for g in res.groups], "avg": res.est}
     )
@@ -206,13 +210,6 @@ def test_result_per_group_frame(scramble):
     assert (pg.lo <= pg.est).all() and (pg.est <= pg.hi).all()
 
 
-def test_prep_cached_across_bounders(scramble):
-    spec = Q.fq9()
-    p1 = prepare(scramble, spec)
-    p2 = prepare(scramble, Q.fq9())
-    assert p1 is p2
-
-
 def test_empty_view_groups_dropped(scramble):
     """F-q6 pair groups absent after the filter must not appear."""
     spec = Q.fq6()
@@ -222,7 +219,7 @@ def test_empty_view_groups_dropped(scramble):
 
 def test_unknown_strategy_raises(scramble, monkeypatch):
     def no_prep(*_):
-        raise AssertionError("config must be checked before the Spark prep")
+        raise AssertionError("config must be checked before the prep")
 
     monkeypatch.setattr(engine, "prepare", no_prep)
     for bounder, strategy in [
@@ -239,3 +236,78 @@ def test_fq4_decision_value(scramble, flights_pdf):
     res = run_query(scramble, spec, _cfg(bounder="bernstein", range_trim=True))
     exact = int(flights_pdf[flights_pdf.Origin == "ORD"].DepDelay.mean() > 10)
     assert res.decision == exact
+
+
+# --- the column store ------------------------------------------------------
+
+SHORT_TAIL_ROWS = 1_013  # 40 full blocks and one of 13 rows
+
+
+@pytest.fixture(scope="module")
+def short_tail_scramble(flights_df):
+    df = flights_df.limit(SHORT_TAIL_ROWS).persist()
+    sc = build_scramble(df, seed=3)
+    yield sc
+    sc.df.unpersist()
+    df.unpersist()
+
+
+def test_short_last_block_matches_duckdb(short_tail_scramble):
+    sc = short_tail_scramble
+    assert sc.n_rows == SHORT_TAIL_ROWS and sc.rows_per_block[-1] == 13
+    flights = flights_pandas(sc)
+
+    spec = Q.fq9()
+    res = run_query(sc, spec, _cfg(bounder="exact", strategy="scan", round_rows=250))
+    assert res.rows_scanned == sc.n_rows
+    assert decision_correct(spec, res, exact_decision(spec, flights))
+    got = pd.DataFrame({"Airline": [g[0] for g in res.groups], "avg": res.est})
+    assert_equivalent(
+        sc.df.sparkSession.createDataFrame(got),
+        "SELECT Airline, AVG(DepDelay) AS avg FROM flights GROUP BY Airline",
+        flights=flights,
+    )
+
+    view = Q.fq1()  # Origin = 'ORD'
+    con = duckdb.connect()
+    con.register("flights", flights)
+    count, total = con.execute(
+        f"SELECT COUNT(DepDelay), SUM(DepDelay) FROM flights{view.predicate_sql()}"
+    ).fetchone()
+    con.close()
+    for agg, truth in (("COUNT", count), ("SUM", total)):
+        r = run_count_sum(sc, view, agg, round_rows=250)
+        assert r.exhausted and r.rows_scanned == sc.n_rows
+        assert r.estimate == pytest.approx(truth, rel=1e-9)
+
+
+class _NoSpark:
+    """Stands in for the scramble's DataFrame: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a query touched the Spark DataFrame (.{name})")
+
+
+def test_queries_run_without_spark(scramble, monkeypatch):
+    for col in ("Origin", "Airline", "DayOfWeek"):
+        get_column_bitmap(scramble, col)
+    cfg = _cfg(bounder="bernstein", range_trim=True)
+    views = [Q.fq1(), Q.QuerySpec(name="all", stopping=Q.RelWidth(0.1))]
+
+    def run_all():
+        return [
+            run_query(scramble, make(), cfg) for make in Q.ALL_QUERIES.values()
+        ] + [
+            run_count_sum(scramble, v, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
+            for v in views
+            for agg in ("COUNT", "SUM")
+        ]
+
+    before = run_all()
+    monkeypatch.setattr(scramble, "df", _NoSpark())
+    after = run_all()
+    for want, got in zip(before, after):
+        for f in dataclasses.fields(want):
+            if f.name != "wall_seconds":
+                a, b = getattr(want, f.name), getattr(got, f.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b

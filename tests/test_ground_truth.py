@@ -25,7 +25,6 @@ def _fake_result(spec, decision, lo=0.0, hi=0.0):
         rows_scanned=0,
         rounds=0,
         wall_seconds=0.0,
-        prep_seconds=0.0,
         index_probes=0,
         exhausted_all=False,
     )

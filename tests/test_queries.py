@@ -100,7 +100,7 @@ def test_exact_sql_runs_on_duckdb(name, flights_pdf):
 
 
 def test_signature_excludes_stopping():
-    """Prep cache keys must be shared across bounders and thresholds."""
+    """A query's view does not depend on its bounder or threshold."""
     assert Q.fq2(thresh=0.0).signature() == Q.fq2(thresh=9.0).signature()
     assert Q.fq1("ORD", 0.5).signature() == Q.fq1("ORD", 0.1).signature()
     assert Q.fq1("ORD").signature() != Q.fq1("AAD").signature()

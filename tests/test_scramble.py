@@ -63,6 +63,24 @@ def test_rows_per_block_accounts_for_partial_tail(scramble):
     assert 1 <= rpb[-1] <= scramble.block_size
 
 
+def test_store_matches_scramble_rows(scramble):
+    """The column store holds the scramble's rows in row_id order."""
+    pdf = scramble.df.orderBy("row_id").toPandas()
+    store = scramble.store
+    assert set(store.columns) == set(pdf.columns) - {"row_id", "block_id"}
+    for name, col in store.columns.items():
+        assert col.shape == (scramble.n_rows,)
+        if name in store.values:
+            col = np.asarray(store.values[name], dtype=object)[col]
+        assert np.array_equal(col, pdf[name].to_numpy()), name
+
+
+def test_store_rejects_nulls(spark):
+    df = spark.createDataFrame([(1.0,), (None,)], "x double")
+    with pytest.raises(ValueError, match="NULL"):
+        build_scramble(df)
+
+
 def test_prefix_is_uniform_sample(scramble, flights_pdf):
     """Scanning a scramble prefix = without-replacement sampling: the
     prefix mean should be within a Hoeffding bound of the true mean."""
