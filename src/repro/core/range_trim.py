@@ -4,10 +4,16 @@ range-based SSI error bounder.
 The wrapper maintains, alongside the running observed extremes ``a'``
 (min) and ``b'`` (max), two inner states:
 
-* ``S_l`` — fed ``min(v, b')`` for each arrival: for unique values this
-  is exactly the sample minus its final maximum (each superseded max is
-  inserted at the moment it is superseded), and
-* ``S_r`` — fed ``max(v, a')``: the sample minus its final minimum.
+* ``S_l`` — fed ``min(v, b')`` for each arrival after the first, and
+* ``S_r`` — fed ``max(v, a')``.
+
+``S_l`` is always the sample minus one copy of its maximum, in any
+arrival order and with ties. By induction: after the first value,
+``S_l`` is empty. If the next ``v <= b'`` (ties included), Algorithm 6
+inserts ``v`` and the maximum is unchanged; if ``v > b'``, it inserts
+the old maximum ``b'`` and ``v`` becomes the maximum. Either way
+``S_l`` stays "sample minus one copy of its max". Symmetrically,
+``S_r`` is the sample minus one copy of its minimum.
 
 ``lbound`` then calls the inner bounder on ``S_l`` with range ``[a, b']``
 and dataset size ``N-1`` — correct because, conditioned on ``max S``,
@@ -25,10 +31,12 @@ The overall CI is ``[lbound(delta/2), rbound(delta/2)]`` — the same
 union-bound split as for the unwrapped bounder, so RangeTrim costs no
 extra confidence budget (Algorithm 4 line 12).
 
-:func:`trimmed_ci_from_stats` is the batch form used by the scan engine:
-given merged ``GroupStats`` it derives ``S_l``/``S_r`` arithmetically
-(drop one copy of the max / min). ``tests/test_range_trim.py`` verifies
-streaming == batch on random streams.
+Because ``S_l`` and ``S_r`` depend only on the multiset of values, the
+batch form needs no stream: :func:`repro.core.vectorized.ci` with
+``range_trim=True`` derives ``S_l``/``S_r`` from the five statistics as
+``(m-1, sum-max, sumsq-max**2)`` and ``(m-1, sum-min, sumsq-min**2)``.
+This class is the streaming reference it is tested against
+(``tests/test_range_trim.py``, ``tests/test_vectorized.py``).
 """
 from __future__ import annotations
 
@@ -36,7 +44,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.bounders import Bounder
-from repro.core.stats import GroupStats
 
 
 @dataclass
@@ -86,28 +93,3 @@ class RangeTrim(Bounder):
             return b
         return self.inner.rbound(state.s_r, state.a_prime, b, max(1, N - 1), delta)
 
-
-def trimmed_ci_from_stats(
-    inner: Bounder,
-    stats: GroupStats,
-    a: float,
-    b: float,
-    N: int,
-    delta: float,
-) -> tuple[float, float]:
-    """Batch RangeTrim CI from merged sample statistics.
-
-    Equivalent to running :class:`RangeTrim` over the sample in any
-    order (the trimmed states only depend on the multiset): ``S_l`` is
-    the sample minus one copy of its max, with range ``[a, max]``, and
-    ``S_r`` minus one copy of its min, with range ``[min, b]``.
-    """
-    if stats.m == 0:
-        return (a, b)
-    lo = inner.lbound(
-        stats.drop_max(), a, stats.vmax, max(1, N - 1), delta / 2.0
-    )
-    hi = inner.rbound(
-        stats.drop_min(), stats.vmin, b, max(1, N - 1), delta / 2.0
-    )
-    return (lo, hi)

@@ -1,16 +1,15 @@
-"""Mergeable per-group sample statistics.
+"""Streaming sample statistics: the state of the scalar bounders.
 
-All bounders in the engine path (Hoeffding-Serfling and empirical
-Bernstein-Serfling, with or without RangeTrim) need only the tuple
-``(m, sum, sumsq, min, max)`` of the sample seen so far. These merge
-associatively across blocks, which is what lets the scan engine
-aggregate per-block statistics with a single Spark ``groupBy`` and then
-replay the adaptive scan over them.
+Hoeffding-Serfling and empirical Bernstein-Serfling need only the tuple
+``(m, sum, sumsq, min, max)`` of the sample seen so far.
+:class:`GroupStats` is that tuple for one sample, updated one value at
+a time; it is the state of the scalar streaming bounders in
+:mod:`repro.core.bounders` (and, through them, of the inner states of
+:class:`repro.core.range_trim.RangeTrim`).
 
-RangeTrim's "trimmed" states are derived views of the same tuple:
-dropping one copy of the max (resp. min) is ``(m-1, sum-max,
-sumsq-max**2, ...)`` — see :mod:`repro.core.range_trim` for why this is
-equivalent to the paper's streaming Algorithm 6.
+The scan engine keeps the same five statistics as per-group arrays and
+turns them into intervals with :func:`repro.core.vectorized.ci`, the one
+batch implementation of the CI formulas.
 """
 from __future__ import annotations
 
@@ -38,17 +37,6 @@ class GroupStats:
         if v > self.vmax:
             self.vmax = v
 
-    def merge(self, other: "GroupStats") -> "GroupStats":
-        """Associative, commutative combine of two disjoint samples."""
-        out = GroupStats(
-            m=self.m + other.m,
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-            vmin=min(self.vmin, other.vmin),
-            vmax=max(self.vmax, other.vmax),
-        )
-        return out
-
     @property
     def mean(self) -> float:
         if self.m == 0:
@@ -66,36 +54,6 @@ class GroupStats:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    def drop_max(self) -> "GroupStats":
-        """Stats of the sample with one copy of its maximum removed.
-
-        ``vmin``/``vmax`` of the reduced sample are not derivable from the
-        tuple alone; the RangeTrim bounders never need them (the trimmed
-        left state is only fed to an inner bounder via (m, sum, sumsq)),
-        so they are left as the untrimmed extremes.
-        """
-        if self.m == 0:
-            raise ValueError("drop_max of empty sample")
-        return GroupStats(
-            m=self.m - 1,
-            total=self.total - self.vmax,
-            total_sq=max(0.0, self.total_sq - self.vmax**2),
-            vmin=self.vmin,
-            vmax=self.vmax,
-        )
-
-    def drop_min(self) -> "GroupStats":
-        """Stats of the sample with one copy of its minimum removed."""
-        if self.m == 0:
-            raise ValueError("drop_min of empty sample")
-        return GroupStats(
-            m=self.m - 1,
-            total=self.total - self.vmin,
-            total_sq=max(0.0, self.total_sq - self.vmin**2),
-            vmin=self.vmin,
-            vmax=self.vmax,
-        )
 
 
 def from_values(values) -> GroupStats:

@@ -1,10 +1,14 @@
-"""Vectorized (NumPy) CI computation over arrays of group statistics.
+"""Per-group CIs from the five sample statistics, over NumPy arrays.
 
-The scan engine recomputes per-group CIs every round for up to ~10^3
-groups; doing that through the scalar streaming classes would dominate
-runtime, so the same formulas are implemented here over arrays. The
-scalar classes in :mod:`repro.core.bounders` remain the reference
-implementation — ``tests/test_vectorized.py`` asserts both agree.
+:func:`ci` is the one batch implementation of the interval formulas:
+Hoeffding-Serfling (Algorithm 1), empirical Bernstein-Serfling
+(Algorithm 2) and batch RangeTrim (Algorithms 4/6). The scan engine
+calls it every round for up to ~10^3 groups, and SUM queries call it
+for their AVG factor. The scalar streaming classes in
+:mod:`repro.core.bounders` and :mod:`repro.core.range_trim` are the
+reference it is tested against: plain CIs equal ``Bounder.ci`` and
+range-trimmed CIs equal streaming ``RangeTrim(inner).ci``
+(``tests/test_vectorized.py``, ``tests/test_range_trim.py``).
 
 Inputs per group: ``m`` (sample size), ``total`` (sum), ``total_sq``
 (sum of squares), ``vmin``/``vmax`` (observed extremes), ``N`` (dataset

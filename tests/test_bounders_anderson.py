@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.bounders import AndersonDKW
-from repro.core.stats import from_values  # noqa: F401  (parallel API)
 
 A, B, N = 0.0, 100.0, 50_000
 AD = AndersonDKW()

@@ -1,9 +1,9 @@
 """Tests for RangeTrim (Algorithms 4 and 6).
 
 Keys: the streaming clip-based update is equivalent to the batch
-"sample minus its extreme" formulation in any arrival order, RangeTrim
-removes PHOS (Lbound ignores b, Rbound ignores a), and correctness
-(coverage) is preserved.
+"sample minus its extreme" formulation of :func:`repro.core.vectorized.ci`
+in any arrival order and with ties, RangeTrim removes PHOS (Lbound
+ignores b, Rbound ignores a), and correctness (coverage) is preserved.
 """
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorized as V
 from repro.core.bounders import EmpiricalBernsteinSerfling, HoeffdingSerfling
-from repro.core.range_trim import RangeTrim, trimmed_ci_from_stats
+from repro.core.range_trim import RangeTrim
 from repro.core.stats import from_values
 
 A, B, N = -50.0, 150.0, 100_000
@@ -28,16 +29,24 @@ def _stream(rt, vals):
     return s
 
 
+def _batch_ci(kind, vals, delta):
+    """Batch RangeTrim CI of :func:`repro.core.vectorized.ci`."""
+    s = from_values(vals)
+    lo, hi = V.ci(
+        kind, s.m, s.total, s.total_sq, s.vmin, s.vmax, A, B, N, delta, True
+    )
+    return float(lo), float(hi)
+
+
 @pytest.mark.parametrize("inner_cls", BOUNDERS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_streaming_equals_batch(inner_cls, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(30, 10, 500)
-    inner = inner_cls()
     rt = RangeTrim(inner_cls())
     s = _stream(rt, vals)
     ci_stream = rt.ci(s, A, B, N, 1e-8)
-    ci_batch = trimmed_ci_from_stats(inner, from_values(vals), A, B, N, 1e-8)
+    ci_batch = _batch_ci(inner_cls.name, vals, 1e-8)
     assert ci_stream[0] == pytest.approx(ci_batch[0], rel=1e-12)
     assert ci_stream[1] == pytest.approx(ci_batch[1], rel=1e-12)
 
@@ -60,13 +69,28 @@ def test_streaming_order_invariant(inner_cls):
 @given(st.lists(st.floats(min_value=-49.0, max_value=149.0, allow_nan=False), min_size=2, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_streaming_equals_batch_hypothesis(vals):
-    inner = HoeffdingSerfling()
     rt = RangeTrim(HoeffdingSerfling())
     s = _stream(rt, vals)
     ci_stream = rt.ci(s, A, B, N, 1e-4)
-    ci_batch = trimmed_ci_from_stats(inner, from_values(vals), A, B, N, 1e-4)
+    ci_batch = _batch_ci("hoeffding", vals, 1e-4)
     assert ci_stream[0] == pytest.approx(ci_batch[0], rel=1e-9, abs=1e-9)
     assert ci_stream[1] == pytest.approx(ci_batch[1], rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("inner_cls", BOUNDERS)
+@pytest.mark.parametrize("delta", [0.5, 1e-6, 1e-15])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_streaming_equals_batch_with_ties(inner_cls, delta, seed):
+    """Heavy ties, including a tied max and min: Algorithm 6 still leaves
+    the sample minus one copy of its max (min) in S_l (S_r)."""
+    rng = np.random.default_rng(seed)
+    for m in (2, 3, 10, 57, 400):
+        vals = np.clip(5.0 * np.round(rng.normal(30, 40, m) / 5.0), A, B)
+        rt = RangeTrim(inner_cls())
+        ci_stream = rt.ci(_stream(rt, vals), A, B, N, delta)
+        ci_batch = _batch_ci(inner_cls.name, vals, delta)
+        assert ci_stream[0] == pytest.approx(ci_batch[0], rel=1e-12, abs=1e-12)
+        assert ci_stream[1] == pytest.approx(ci_batch[1], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("inner_cls", BOUNDERS)
@@ -109,11 +133,10 @@ def test_empty_and_single_sample():
 
 def test_duplicates_handled():
     rt = RangeTrim(HoeffdingSerfling())
-    inner = HoeffdingSerfling()
     vals = [5.0, 5.0, 3.0, 3.0, 7.0, 7.0]
     s = _stream(rt, vals)
     ci_stream = rt.ci(s, A, B, N, 0.01)
-    ci_batch = trimmed_ci_from_stats(inner, from_values(vals), A, B, N, 0.01)
+    ci_batch = _batch_ci("hoeffding", vals, 0.01)
     assert ci_stream[0] == pytest.approx(ci_batch[0])
     assert ci_stream[1] == pytest.approx(ci_batch[1])
 
@@ -144,6 +167,6 @@ def test_uses_n_minus_one():
     inner = HoeffdingSerfling()
     rt = RangeTrim(HoeffdingSerfling())
     s = _stream(rt, vals)
-    st_ = from_values(vals)
-    expected_lo = inner.lbound(st_.drop_max(), A, st_.vmax, N - 1, 0.01)
+    rest = from_values(sorted(vals)[:-1])  # the sample minus its max
+    expected_lo = inner.lbound(rest, A, max(vals), N - 1, 0.01)
     assert rt.lbound(s, A, B, N, 0.01) == pytest.approx(expected_lo, rel=1e-12)

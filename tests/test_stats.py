@@ -5,14 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.stats import GroupStats, from_values
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
 
 
 def test_empty_state():
@@ -44,65 +38,6 @@ def test_matches_numpy(n):
     assert s.std == pytest.approx(vals.std(), rel=1e-9, abs=1e-9)
     assert s.vmin == vals.min()
     assert s.vmax == vals.max()
-
-
-@given(
-    st.lists(finite_floats, min_size=1, max_size=50),
-    st.lists(finite_floats, min_size=1, max_size=50),
-)
-@settings(max_examples=50, deadline=None)
-def test_merge_equals_concat(xs, ys):
-    merged = from_values(xs).merge(from_values(ys))
-    direct = from_values(xs + ys)
-    assert merged.m == direct.m
-    assert merged.total == pytest.approx(direct.total, rel=1e-9, abs=1e-6)
-    assert merged.vmin == direct.vmin
-    assert merged.vmax == direct.vmax
-
-
-@given(
-    st.lists(finite_floats, min_size=1, max_size=20),
-    st.lists(finite_floats, min_size=1, max_size=20),
-)
-@settings(max_examples=30, deadline=None)
-def test_merge_commutative(xs, ys):
-    a = from_values(xs).merge(from_values(ys))
-    b = from_values(ys).merge(from_values(xs))
-    assert a.m == b.m
-    assert a.total == pytest.approx(b.total, rel=1e-9, abs=1e-6)
-    assert a.vmin == b.vmin and a.vmax == b.vmax
-
-
-@pytest.mark.parametrize("n", [1, 2, 10, 50])
-def test_drop_max_matches_direct(n):
-    rng = np.random.default_rng(n + 100)
-    vals = list(rng.normal(0, 5, n))
-    s = from_values(vals)
-    dropped = s.drop_max()
-    rest = sorted(vals)[:-1]
-    assert dropped.m == n - 1
-    assert dropped.total == pytest.approx(sum(rest), abs=1e-9)
-    if rest:
-        direct = from_values(rest)
-        assert dropped.total_sq == pytest.approx(direct.total_sq, rel=1e-9)
-
-
-@pytest.mark.parametrize("n", [1, 2, 10, 50])
-def test_drop_min_matches_direct(n):
-    rng = np.random.default_rng(n + 200)
-    vals = list(rng.normal(0, 5, n))
-    s = from_values(vals)
-    dropped = s.drop_min()
-    rest = sorted(vals)[1:]
-    assert dropped.m == n - 1
-    assert dropped.total == pytest.approx(sum(rest), abs=1e-9)
-
-
-def test_drop_on_empty_raises():
-    with pytest.raises(ValueError):
-        GroupStats().drop_max()
-    with pytest.raises(ValueError):
-        GroupStats().drop_min()
 
 
 def test_variance_nonnegative_under_cancellation():
