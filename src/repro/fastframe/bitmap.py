@@ -4,15 +4,21 @@ For a categorical column, the index records for every (value, block)
 pair whether the block contains at least one row with that value —
 exactly the information FastFrame's active scanning needs to decide
 whether a block can contribute tuples to an active group. It is built
-from the scramble's column store with one NumPy scatter of the
-column's codes into a dense boolean matrix ``[n_values, n_blocks]``.
+once per scramble from the column store with one NumPy scatter of the
+column's codes into a dense boolean matrix ``[n_values, n_blocks]``,
+and it keeps those codes (each row's index into the sorted values).
 
-Composite GROUP BY keys (e.g. F-q6's ``DayOfWeek, Origin``) get the
-same scatter over composite codes, so their matrix is exact: a group's
-row marks exactly the blocks holding at least one of its rows.
+A GROUP BY on one column reuses that index as is: its keys, row ids
+and matrix are the column's values, codes and matrix, so the query
+does no prep work for them. Composite keys (e.g. F-q6's ``DayOfWeek,
+Origin``) come from one ``bincount`` of the columns' composite codes,
+which yields the present keys in sorted order without a sort, then the
+same scatter, so their matrix is exact too: a group's row marks
+exactly the blocks holding at least one of its rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -27,6 +33,7 @@ class ColumnBitmap:
 
     column: str
     values: List  # sorted distinct values
+    codes: np.ndarray  # int [n_rows] — each row's index into values
     matrix: np.ndarray  # bool [n_values, n_blocks]
 
     def row(self, value) -> np.ndarray:
@@ -49,7 +56,9 @@ def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray
 def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
     """One scatter of the column's codes -> matrix."""
     values, codes = scramble.store.codes(column)
-    return ColumnBitmap(column, values, _presence(scramble, codes, len(values)))
+    return ColumnBitmap(
+        column, values, codes, _presence(scramble, codes, len(values))
+    )
 
 
 def get_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
@@ -70,19 +79,27 @@ def group_domain(
     that the per-query confidence budget is divided by, and the row
     universe of the per-group bitmap matrix.
     """
-    per_col = [scramble.store.codes(c) for c in group_cols]
-    shape = tuple(len(values) for values, _ in per_col)
-    # Composite codes in row-major order sort like the key tuples.
-    flat = np.ravel_multi_index([codes for _, codes in per_col], shape)
-    keys, gid = np.unique(flat, return_inverse=True)
-    idx = np.unravel_index(keys, shape)
-    columns = [[values[i] for i in ix] for (values, _), ix in zip(per_col, idx)]
-    return list(zip(*columns)), gid
+    bms = [get_column_bitmap(scramble, c) for c in group_cols]
+    shape = tuple(len(bm.values) for bm in bms)
+    # Composite codes in row-major order sort like the key tuples, so
+    # the codes that occur, in code order, are the sorted keys.
+    flat = np.ravel_multi_index([bm.codes for bm in bms], shape)
+    present = np.bincount(flat, minlength=math.prod(shape)) > 0
+    idx = np.unravel_index(np.flatnonzero(present), shape)
+    columns = [[bm.values[i] for i in ix] for bm, ix in zip(bms, idx)]
+    return list(zip(*columns)), (np.cumsum(present) - 1)[flat]
 
 
 def group_bitmap_matrix(
     scramble: Scramble, group_cols: Sequence[str]
 ) -> Tuple[List[Tuple], np.ndarray, np.ndarray]:
-    """Group keys, each row's group and the presence matrix [n_groups, n_blocks]."""
+    """Group keys, each row's group and the presence matrix [n_groups, n_blocks].
+
+    For one column these are its bitmap index's own values, codes and
+    matrix, shared: callers must not write to them.
+    """
+    if len(group_cols) == 1:
+        bm = get_column_bitmap(scramble, group_cols[0])
+        return [(v,) for v in bm.values], bm.codes, bm.matrix
     groups, gid = group_domain(scramble, group_cols)
     return groups, gid, _presence(scramble, gid, len(groups))

@@ -24,8 +24,11 @@ COUNT/SUM loop of :mod:`repro.fastframe.count_sum_query`; each loop
 keeps only its own intervals and stopping rule.
 
 A query's prep (``prepare``) reads the scramble's driver-resident
-column store: the predicate's row mask, each row's group, the group
-bitmaps and the predicate-eligible blocks, all in NumPy. Each round
+column store and its column bitmap indexes: the predicate's row mask
+and eligible blocks, each row's group and the group bitmaps, all in
+NumPy and without a sort. A one-column GROUP BY takes its groups, row
+ids and bitmaps from the column's index as they are; a composite one
+builds them with one ``bincount`` and one scatter. Each round
 then gathers the picked blocks' rows (block ``b`` is rows
 ``[b*block_size, (b+1)*block_size)``) and folds the masked values into
 the per-group statistics, so the work of a query is proportional to
@@ -146,7 +149,9 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     rows = np.ones(scramble.n_rows, dtype=bool)
     for p in spec.predicate:
         if isinstance(p, Eq):
-            static &= get_column_bitmap(scramble, p.col).row(p.value)
+            bm = get_column_bitmap(scramble, p.col)
+            # A value absent from the column matches no row and no block.
+            static &= bm.row(p.value) if p.value in bm.values else False
         rows &= p.row_mask(store)
 
     return Prep(

@@ -44,7 +44,12 @@ class ColumnStore:
     values: Dict[str, List]
 
     def codes(self, column: str) -> Tuple[List, np.ndarray]:
-        """The column's sorted distinct values and each row's index into them."""
+        """The column's sorted distinct values and each row's index into them.
+
+        A string column's are the store's own list and array. For other
+        columns this is an ``np.unique`` over every row, so the column
+        bitmap build calls it once per column and keeps the codes.
+        """
         if column in self.values:
             return self.values[column], self.columns[column]
         values, codes = np.unique(self.columns[column], return_inverse=True)

@@ -51,6 +51,18 @@ def test_pair_domain(scramble, flights_pdf):
     assert [dom[i] for i in gid] == list(pdf.itertuples(index=False, name=None))
 
 
+@pytest.mark.parametrize("column", ["Origin", "DayOfWeek"])
+def test_single_column_row_groups(scramble, column):
+    """String codes (Origin) and np.unique codes (DayOfWeek) map rows right."""
+    pdf = scramble.df.orderBy("row_id").select(column).toPandas()
+    want = [(v,) for v in pdf[column]]
+    dom, gid = group_domain(scramble, (column,))
+    groups, gid_m, _ = group_bitmap_matrix(scramble, (column,))
+    assert groups == dom == sorted(set(want))
+    assert [dom[i] for i in gid] == want
+    assert np.array_equal(gid_m, gid)
+
+
 def test_single_column_group_matrix(scramble):
     groups, _, matrix = group_bitmap_matrix(scramble, ("Airline",))
     bm = get_column_bitmap(scramble, "Airline")

@@ -25,13 +25,15 @@ from repro.experiments.ground_truth import (
 )
 from repro.fastframe import engine
 from repro.fastframe import queries as Q
-from repro.fastframe.bitmap import get_column_bitmap
+from repro.fastframe.bitmap import build_column_bitmap, get_column_bitmap
 from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
 from repro.fastframe.scramble import build_scramble
 from repro.oracle import assert_equivalent
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
+STRATEGIES = ("scan", "active_sync", "active_peek")
+BITMAP_COLUMNS = ("Origin", "Airline", "DayOfWeek")
 
 ALL_BOUNDERS = [
     ("hoeffding", False),
@@ -289,7 +291,7 @@ class _NoSpark:
 
 
 def test_queries_run_without_spark(scramble, monkeypatch):
-    for col in ("Origin", "Airline", "DayOfWeek"):
+    for col in BITMAP_COLUMNS:
         get_column_bitmap(scramble, col)
     cfg = _cfg(bounder="bernstein", range_trim=True)
     views = [Q.fq1(), Q.QuerySpec(name="all", stopping=Q.RelWidth(0.1))]
@@ -311,3 +313,96 @@ def test_queries_run_without_spark(scramble, monkeypatch):
             if f.name != "wall_seconds":
                 a, b = getattr(want, f.name), getattr(got, f.name)
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+# --- prep from the column bitmap index ------------------------------------
+
+def _views():
+    """Each F-query's view without its GROUP BY, once per distinct view."""
+    views = []
+    for make in Q.ALL_QUERIES.values():
+        spec = dataclasses.replace(make(), group_cols=())
+        if all(v.signature() != spec.signature() for v in views):
+            views.append(spec)
+    assert len(views) == 5
+    return views
+
+
+def test_prep_does_not_sort(scramble, monkeypatch):
+    """Group keys come from the column bitmaps: a query's prep never sorts."""
+    for col in BITMAP_COLUMNS:
+        get_column_bitmap(scramble, col)
+
+    def no_sort(*_, **__):
+        raise AssertionError("a query's prep sorted")
+
+    for name in ("unique", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, no_sort)
+    for spec in [make() for make in Q.ALL_QUERIES.values()] + _views():
+        prepare(scramble, spec)
+
+
+def test_queries_leave_shared_index_unchanged(scramble):
+    """Prep hands out the bitmaps' arrays; no query may write to them."""
+    columns = {c: a.copy() for c, a in scramble.store.columns.items()}
+    for make in Q.ALL_QUERIES.values():
+        for strategy in STRATEGIES:
+            run_query(scramble, make(), _cfg(strategy=strategy))
+    for view in _views():
+        for agg in ("COUNT", "SUM"):
+            run_count_sum(scramble, view, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
+
+    cached = [v for k, v in scramble.prep_cache.items() if k[0] == "bitmap"]
+    assert {bm.column for bm in cached} == set(BITMAP_COLUMNS)
+    for bm in cached:
+        fresh = build_column_bitmap(scramble, bm.column)
+        assert bm.values == fresh.values
+        assert np.array_equal(bm.codes, fresh.codes)
+        assert np.array_equal(bm.matrix, fresh.matrix)
+    assert scramble.store.columns.keys() == columns.keys()
+    for c, a in columns.items():
+        assert np.array_equal(scramble.store.columns[c], a)
+
+
+def _absent_views():
+    """F-q1 and F-q7 filtered on values their columns do not hold."""
+    return (
+        Q.fq1(airport="ZZZ"),
+        dataclasses.replace(Q.fq7(), predicate=(Q.Eq("Airline", "ZZ"),)),
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_eq_on_absent_value_is_empty_view(scramble, strategy):
+    """As in SQL, an Eq on a value the column lacks selects no row."""
+    flights = flights_pandas(scramble)
+    f1, f7 = _absent_views()
+    con = duckdb.connect()
+    con.register("flights", flights)
+    avg = con.execute(f"SELECT AVG(DepDelay) FROM flights{f1.predicate_sql()}")
+    assert avg.fetchone() == (None,)
+    con.close()
+    assert exact_decision(f7, flights) == []
+    for bounder in ("bernstein", "exact"):
+        cfg = _cfg(bounder=bounder, strategy=strategy)
+        r1 = run_query(scramble, f1, cfg)
+        assert r1.decision is None and r1.blocks_fetched == 0
+        r7 = run_query(scramble, f7, cfg)
+        assert r7.decision == [] and r7.blocks_fetched == 0
+
+
+def test_count_sum_on_absent_value_is_zero(scramble):
+    flights = flights_pandas(scramble)
+    con = duckdb.connect()
+    con.register("flights", flights)
+    for view in _absent_views():
+        spec = dataclasses.replace(view, group_cols=())
+        count, total = con.execute(
+            f"SELECT COUNT(DepDelay), SUM(DepDelay) FROM flights{spec.predicate_sql()}"
+        ).fetchone()
+        assert (count, total) == (0, None)  # SQL's SUM over no rows is NULL
+        for agg in ("COUNT", "SUM"):
+            r = run_count_sum(scramble, spec, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
+            assert r.exhausted and r.m == 0
+            assert r.estimate == r.lo == r.hi == 0.0
+    con.close()
