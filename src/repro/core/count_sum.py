@@ -12,12 +12,16 @@ event ``N <= N+`` and ``alpha*delta`` is left for the mean bounder run
 with ``N+`` in place of the unknown ``N`` (safe by the dataset-size
 monotonicity property). The paper fixes ``alpha = 0.99``.
 
-Caveat (documented in DESIGN.md): when predicate-driven block skipping
+Caveats (documented in DESIGN.md): when predicate-driven block skipping
 is active, every fetched block contains at least one matching row, so
 ``m_v / r`` over fetched rows *over*-estimates the selectivity. That is
 safe for the upper bound ``N+`` (monotonicity: larger N only loosens
-the CI) but not for ``N-``; the engine therefore only exposes COUNT
-lower bounds under the plain ``Scan`` strategy.
+the CI) but not for ``N-``; the engine therefore computes COUNT and SUM
+only from a plain ``Scan`` of every block. Group-driven skipping under
+the ``active_*`` strategies is *not* safe for ``N+``: a group's blocks
+are skipped while it is inactive, so its ``m_v / r`` is biased *low* and
+``N+`` can fall below ``N`` (measured in 10 of 80 F-q5 ``active_peek``
+runs at delta = 0.5). This is an open defect, ROADMAP item G.
 """
 from __future__ import annotations
 

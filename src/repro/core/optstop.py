@@ -43,10 +43,9 @@ class RunningIntersection:
         """Fold round-k intervals in: lo = max(lo, L_k), hi = min(hi, R_k).
 
         An empty intersection is a probability-<delta event (some round's
-        interval missed the truth); we keep the midpoint as a degenerate
-        interval rather than crash, matching a production system's
-        behavior, and callers can detect it via ``lo > hi`` never being
-        exposed.
+        interval missed the truth); it collapses to the midpoint as a
+        degenerate interval rather than crash. The crossing is not
+        observable by callers yet (ROADMAP E asks for a counter).
         """
         self.lo = np.maximum(self.lo, lo)
         self.hi = np.minimum(self.hi, hi)

@@ -18,10 +18,14 @@ The numbered conditions match the paper:
 4. :class:`Threshold`      — threshold side determined
 5. :class:`TopK`           — top- or bottom-K separated
 6. :class:`Ordered`        — groups ordered correctly
+
+:class:`WidthTarget` is the COUNT/SUM rule: an absolute or a relative
+width target on the interval itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -96,6 +100,26 @@ class RelWidth(StoppingCondition):
 
 
 @dataclass
+class WidthTarget(StoppingCondition):
+    """The COUNT/SUM width target: stop once ``width < abs_eps`` or
+    ``width < rel_eps * max(|est|, 1e-12)``; with neither set, only
+    exhaustion stops."""
+
+    abs_eps: Optional[float] = None
+    rel_eps: Optional[float] = None
+    number = 3
+
+    def evaluate(self, est, lo, hi, m, exhausted):
+        width = hi - lo
+        met = np.zeros(width.shape, dtype=bool)
+        if self.abs_eps is not None:
+            met |= width < self.abs_eps
+        if self.rel_eps is not None:
+            met |= width < self.rel_eps * np.maximum(np.abs(est), _TINY)
+        return self._finish(~met, exhausted)
+
+
+@dataclass
 class Threshold(StoppingCondition):
     """Condition 4: stop when no interval still contains the threshold v."""
 
@@ -151,10 +175,7 @@ class TopK(StoppingCondition):
         # intervals still overlap (e.g. boundary ties); separation is the
         # authoritative stop signal.
         if not separated and not active.any():
-            active = ~exhausted & (
-                np.isin(np.arange(n), sel)
-                | np.isin(np.arange(n), rest)
-            )
+            active = ~exhausted
         return Verdict(done=bool(separated), active=active)
 
     def select(self, est) -> np.ndarray:

@@ -37,7 +37,7 @@ def exact_decision(spec: QuerySpec, flights: pd.DataFrame) -> Any:
     finally:
         con.close()
     kind = spec.result_kind
-    if kind == "avg_ci":
+    if kind in ("avg_ci", "count", "sum"):
         return float(out.iloc[0, 0])
     if kind in ("having_above", "having_below"):
         return sorted(out.iloc[:, 0].tolist())
@@ -59,7 +59,8 @@ def decision_correct(spec: QuerySpec, result: QueryResult, exact: Any) -> bool:
     the exact group set; CASE the exact value; top-K the exact member
     set (LIMIT-K semantics — internal order is not guaranteed by
     condition 5); ordered queries the exact ordering; F-q1 must satisfy
-    the requested relative error and its CI must enclose the truth.
+    the requested relative error and its CI must enclose the truth, and a
+    COUNT or SUM interval must enclose the exact value.
     """
     d = result.decision
     kind = spec.result_kind
@@ -72,6 +73,9 @@ def decision_correct(spec: QuerySpec, result: QueryResult, exact: Any) -> bool:
             return encloses
         denom = max(abs(exact), 1e-12)
         return encloses and abs(d["avg"] - exact) / denom <= eps + 1e-9
+    if kind in ("count", "sum"):
+        tol = 1e-9 * max(1.0, abs(exact))
+        return d["lo"] - tol <= exact <= d["hi"] + tol
     if kind in ("having_above", "having_below"):
         return sorted(d) == sorted(exact)
     if kind == "case_gt":

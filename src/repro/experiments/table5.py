@@ -2,7 +2,8 @@
 
 Runs every query with the Exact baseline and with Hoeffding,
 Hoeffding+RT, Bernstein, Bernstein+RT, reporting wall time of the scan
-loop, blocks fetched, and speedups over Exact both ways. Every
+loop (for Exact, of its one masked ``bincount``), blocks fetched, and
+speedups over Exact both ways. Every
 approximate decision is verified against DuckDB ground truth
 (the paper's correctness metric).
 

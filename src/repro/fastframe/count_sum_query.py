@@ -1,32 +1,26 @@
 """Engine-level COUNT and SUM queries (paper §4.1).
 
-A single-view scan under the plain ``Scan`` strategy (no block skipping
-— required so the Lemma-5 selectivity estimate stays unbiased, see
-:mod:`repro.core.count_sum`), computing per-round:
-
-* a COUNT CI from the selectivity CI times the scramble size, and
-* for SUM, the product-combination of a ``(1-delta/2)`` COUNT CI and a
-  ``(1-delta/2)`` AVG CI (union bound, paper §4.1).
-
-Rounds follow the OptStop schedule so the scan may terminate as soon as
-the requested absolute/relative width is reached. Picking and folding
-are the engine's (:class:`repro.fastframe.engine._Scan`, the same walk
-as ``run_query``'s ``scan`` strategy); this module adds only the
-COUNT/SUM intervals and their stopping rule.
+A COUNT or SUM over one aggregate view runs as the ``count`` or ``sum``
+result kind of :func:`repro.fastframe.engine.run_query`: an unskipped
+scan (Lemma 5, see :mod:`repro.core.count_sum`) whose per-round COUNT or
+SUM interval feeds the OptStop running intersection. This module turns
+the absolute/relative width target into a stopping condition and the
+result into a :class:`ScalarResult`.
 """
 from __future__ import annotations
 
-import math
-import time
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+from repro.core.stopping import WidthTarget
+from repro.fastframe import engine
+from repro.fastframe.engine import EngineConfig
 
-from repro.core import vectorized
-from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
-from repro.core.optstop import round_delta
-from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan, prepare
+# Not called here: perfbench's tracer wraps this module's ``prepare`` and
+# ``n_plus`` by name, so the names stay bound.
+from repro.core.count_sum import n_plus  # noqa: F401
+from repro.fastframe.engine import prepare  # noqa: F401
 from repro.fastframe.queries import QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -68,71 +62,24 @@ def run_count_sum(
     """
     if agg not in ("COUNT", "SUM"):
         raise ValueError(f"agg must be COUNT or SUM, got {agg!r}")
-    if spec.group_cols:
-        raise ValueError("COUNT/SUM path supports single-view queries only")
-
-    prep = prepare(scramble, spec)
-    R = scramble.n_rows
-    round_blocks = max(1, math.ceil(round_rows / scramble.block_size))
-    # Plain Scan over ALL blocks: no predicate-bitmap skipping either,
-    # otherwise the scanned rows are biased toward matching blocks and
-    # the selectivity CI (hence the COUNT lower bound) would break.
-    all_blocks = np.ones(scramble.n_blocks, dtype=bool)
-    scan = _Scan(scramble, prep, all_blocks, 0, LOOKAHEAD_BLOCKS)
-
-    k = 0
-    t0 = time.perf_counter()
-    while True:
-        k += 1
-        exhausted = not scan.fetch(round_blocks)
-        # With no group columns the prep has one group: G = 1, gid = 0.
-        m, tot, r = scan.m[0], scan.tot[0], scan.rows_scanned
-        delta_k = round_delta(delta, k)
-        if exhausted:
-            est = m if agg == "COUNT" else tot
-            lo = hi = est
-        elif agg == "COUNT":
-            c_lo, c_hi = count_ci(m, max(r, 1), R, delta_k)
-            lo, hi = float(c_lo), float(c_hi)
-            est = m / max(r, 1) * R
-        else:  # SUM
-            c_lo, c_hi = count_ci(m, max(r, 1), R, delta_k / 2.0)
-            Nplus = max(float(n_plus(m, max(r, 1), R, delta_k / 2.0)), m, 1.0)
-            a_lo, a_hi = vectorized.ci(
-                bounder,
-                m,
-                tot,
-                scan.sq[0],
-                scan.mn[0],
-                scan.mx[0],
-                prep.a,
-                prep.b,
-                Nplus,
-                ALPHA * delta_k / 2.0,
-                range_trim,
-            )
-            s_lo, s_hi = sum_ci(a_lo, a_hi, c_lo, c_hi)
-            lo, hi = float(s_lo), float(s_hi)
-            est = (tot / m * (m / max(r, 1) * R)) if m else 0.0
-
-        width = hi - lo
-        done = exhausted
-        if abs_eps is not None and width < abs_eps:
-            done = True
-        if rel_eps is not None and width < rel_eps * max(abs(est), 1e-12):
-            done = True
-        if done:
-            break
-
+    spec = dataclasses.replace(
+        spec,
+        stopping=WidthTarget(abs_eps=abs_eps, rel_eps=rel_eps),
+        result_kind=agg.lower(),
+    )
+    config = EngineConfig(
+        bounder=bounder, range_trim=range_trim, delta=delta, round_rows=round_rows
+    )
+    res = engine.run_query(scramble, spec, config)
     return ScalarResult(
         agg=agg,
-        estimate=float(est),
-        lo=float(lo),
-        hi=float(hi),
-        m=int(m),
-        rows_scanned=r,
-        blocks_fetched=scan.blocks_fetched,
-        rounds=k,
-        wall_seconds=time.perf_counter() - t0,
-        exhausted=exhausted,
+        estimate=float(res.est[0]),
+        lo=float(res.lo[0]),
+        hi=float(res.hi[0]),
+        m=int(res.m[0]),
+        rows_scanned=res.rows_scanned,
+        blocks_fetched=res.blocks_fetched,
+        rounds=res.rounds,
+        wall_seconds=res.wall_seconds,
+        exhausted=res.exhausted_all,
     )

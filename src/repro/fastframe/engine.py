@@ -19,9 +19,13 @@ bitmaps and in how many blocks one index probe covers:
                     lookahead, which amortizes probe cost). It fetches
                     the same blocks as ``active_sync``.
 
-The picking and folding primitives (``_Scan``) are shared with the
-COUNT/SUM loop of :mod:`repro.fastframe.count_sum_query`; each loop
-keeps only its own intervals and stopping rule.
+AVG, COUNT and SUM (result kinds ``count`` and ``sum``, paper §4.1) run
+through this one loop and differ only in each round's interval:
+Theorem 3's ``N+`` with the AVG CI, the Lemma-5 COUNT CI, or the product
+of a COUNT and an AVG CI at half the budget each for SUM. Lemma 5 needs
+an unskipped sample, so COUNT/SUM always scan every block. An exact
+query (``bounder="exact"``) runs no loop: it is one masked ``bincount``
+over the rows of the predicate-eligible blocks.
 
 A query's prep (``prepare``) reads the scramble's driver-resident
 column store and its column bitmap indexes: the predicate's row mask
@@ -33,7 +37,8 @@ then gathers the picked blocks' rows (block ``b`` is rows
 ``[b*block_size, (b+1)*block_size)``) and folds the masked values into
 the per-group statistics, so the work of a query is proportional to
 the blocks it fetches — the cost structure of the paper's in-memory
-engine. ``wall_seconds`` times the round loop.
+engine. ``wall_seconds`` times the round loop (or the exact
+``bincount``).
 
 Confidence budget chain (all documented in DESIGN.md): per-query
 ``delta`` is divided by the group-domain size ``G`` (number of
@@ -52,7 +57,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import vectorized
-from repro.core.count_sum import ALPHA, n_plus
+from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
 from repro.core.optstop import RunningIntersection, round_delta
 from repro.core.stopping import Threshold, TopK
 from repro.fastframe.bitmap import get_column_bitmap, group_bitmap_matrix
@@ -61,7 +66,9 @@ from repro.fastframe.scramble import Scramble
 
 LOOKAHEAD_BLOCKS = 1024  # paper §4.3: lookahead batch of 1024 blocks
 BOUNDERS = ("hoeffding", "bernstein", "exact")
-#: Blocks per index probe of each strategy's walk (exact mode walks as scan).
+#: Result kinds of one aggregate view that always has an output row.
+SCALAR_KINDS = ("count", "sum")
+#: Blocks per index probe of each strategy's walk.
 STRATEGY_BATCH = {
     "scan": LOOKAHEAD_BLOCKS,
     "active_sync": 1,
@@ -217,7 +224,7 @@ class _BlockPicker:
 
 
 class _Scan:
-    """The round primitives shared by ``run_query`` and ``run_count_sum``.
+    """The round primitives of ``run_query``'s loop.
 
     Holds the fetched mask, the block walk, the cost counters, the
     running per-group ``m/tot/sq/mn/mx`` and, per group, the number of
@@ -283,27 +290,32 @@ def run_query(
         raise ValueError(f"unknown bounder {config.bounder!r}")
     if config.strategy not in STRATEGY_BATCH:
         raise ValueError(f"unknown strategy {config.strategy!r}")
+    kind = spec.result_kind
+    scalar = kind in SCALAR_KINDS
+    if scalar and spec.group_cols:
+        raise ValueError("COUNT/SUM path supports single-view queries only")
     prep = prepare(scramble, spec)
     G = len(prep.groups)
     R = scramble.n_rows
-    exact_mode = config.bounder == "exact"
-    strategy = "scan" if exact_mode else config.strategy
+    # Lemma 5 needs the scanned rows to be a uniform sample of the scramble:
+    # COUNT/SUM read every block, skipping neither by predicate nor by group.
+    eligible = np.ones(scramble.n_blocks, dtype=bool) if scalar else prep.static_mask
+    if config.bounder == "exact":
+        return _run_exact(scramble, spec, config, prep, eligible)
+    strategy = "scan" if scalar else config.strategy
+
     delta_group = config.delta / max(1, G)
     round_blocks = max(1, math.ceil(config.round_rows / scramble.block_size))
-
     scan = _Scan(
-        scramble, prep, prep.static_mask, config.start_block, STRATEGY_BATCH[strategy]
+        scramble, prep, eligible, config.start_block, STRATEGY_BATCH[strategy]
     )
     m, tot = scan.m, scan.tot  # folded in place each round
-    inter = RunningIntersection(G, prep.a, prep.b)
+    # AVG intervals start from the column range; COUNT/SUM from no bound.
+    lo0, hi0 = (-np.inf, np.inf) if scalar else (prep.a, prep.b)
+    inter = RunningIntersection(G, lo0, hi0)
     active = np.ones(G, dtype=bool)
 
     k_round = 0
-    exhausted_all = False
-    est = np.full(G, 0.5 * (prep.a + prep.b))
-    lo = np.full(G, prep.a)
-    hi = np.full(G, prep.b)
-
     t0 = time.perf_counter()
     while True:
         k_round += 1
@@ -315,47 +327,25 @@ def run_query(
                 break
         exhausted_all = not scan.fetch(round_blocks, active_idx)
 
-        if exact_mode:
-            if exhausted_all:
-                break
-            continue
-
-        # Per-group view-size upper bound N+ (Theorem 3) and CIs with the
-        # OptStop round budget (Algorithm 5 / Theorem 4).
+        # The round's interval with the OptStop budget (Algorithm 5 /
+        # Theorem 4), folded into the running intersection.
         delta_k = round_delta(delta_group, k_round)
-        r_eff = max(1, scan.rows_scanned)
-        Nplus = n_plus(m, r_eff, R, delta_k)
-        Nplus = np.maximum(Nplus, m)  # guard: a legal size is >= the sample
-        lo_k, hi_k = vectorized.ci(
-            config.bounder,
-            m,
-            tot,
-            scan.sq,
-            scan.mn,
-            scan.mx,
-            prep.a,
-            prep.b,
-            Nplus,
-            ALPHA * delta_k,
-            config.range_trim,
-        )
-        inter.update(lo_k, hi_k)
+        r = max(1, scan.rows_scanned)
+        inter.update(*_round_ci(kind, config, prep, scan, r, R, delta_k))
 
         exhausted = scan.remaining <= 0
-
-        est = np.where(m > 0, tot / np.maximum(m, 1.0), 0.5 * (prep.a + prep.b))
-        lo, hi = inter.lo.copy(), inter.hi.copy()
+        alive = (m > 0) | scalar
+        est = _estimate(kind, m, tot, r, R, exhausted, 0.5 * (prep.a + prep.b))
         # A fully-read view is known exactly — collapse its interval.
-        done_exact = exhausted & (m > 0)
-        lo[done_exact] = est[done_exact]
-        hi[done_exact] = est[done_exact]
+        done_exact = exhausted & alive
+        lo = np.where(done_exact, est, inter.lo)
+        hi = np.where(done_exact, est, inter.hi)
 
         # Views that turn out to be empty once their blocks are all read
         # contribute no output row; they are dropped from the stopping
         # evaluation entirely (their wide [a, b] intervals would
         # otherwise block separation-style conditions forever).
-        dead = exhausted & (m == 0)
-        live = np.flatnonzero(~dead)
+        live = np.flatnonzero(alive | ~exhausted)
         verdict = spec.stopping.evaluate(
             est[live], lo[live], hi[live], m[live], exhausted[live]
         )
@@ -365,25 +355,9 @@ def run_query(
             exhausted_all = exhausted_all or bool(exhausted.all())
             break
 
-    if exact_mode:
-        est = np.where(m > 0, tot / np.maximum(m, 1.0), np.nan)
-        lo = est.copy()
-        hi = est.copy()
-
     wall = time.perf_counter() - t0
-
-    alive = m > 0
-    decision = _decide(spec, prep.groups, est, lo, hi, alive)
-    return QueryResult(
-        query=spec.name,
-        label=config.label(),
-        strategy=strategy,
-        groups=[g for g, al in zip(prep.groups, alive) if al],
-        est=est[alive],
-        lo=lo[alive],
-        hi=hi[alive],
-        m=m[alive],
-        decision=decision,
+    return _result(
+        spec, config, prep, strategy, est, lo, hi, m,
         blocks_fetched=scan.blocks_fetched,
         rows_scanned=scan.rows_scanned,
         rounds=k_round,
@@ -393,17 +367,97 @@ def run_query(
     )
 
 
-def _decide(spec: QuerySpec, groups, est, lo, hi, alive):
-    """Read the query's decision off the per-group intervals."""
-    est_a, lo_a, hi_a = est[alive], lo[alive], hi[alive]
-    groups_a = [g for g, al in zip(groups, alive) if al]
-    names = [g if len(g) != 1 else g[0] for g in groups_a]
+def _run_exact(scramble, spec, config, prep, eligible) -> QueryResult:
+    """The exact answer: one masked ``bincount`` over the eligible blocks' rows."""
+    t0 = time.perf_counter()
+    R, G = scramble.n_rows, len(prep.groups)
+    in_blocks = np.repeat(eligible, scramble.block_size)[:R]
+    rows = in_blocks & prep.rows
+    g = prep.gid[rows]
+    m = np.bincount(g, minlength=G).astype(np.float64)
+    tot = np.bincount(g, weights=prep.values[rows], minlength=G)
+    est = _estimate(spec.result_kind, m, tot, R, R, True, np.nan)
+    wall = time.perf_counter() - t0
+    return _result(
+        spec, config, prep, "scan", est, est, est, m,
+        blocks_fetched=int(eligible.sum()),
+        rows_scanned=int(in_blocks.sum()),
+        rounds=1,
+        wall_seconds=wall,
+        index_probes=0,
+        exhausted_all=True,
+    )
+
+
+def _avg_ci(config, prep, scan, r, R, delta_k):
+    """Theorem 3: the per-group view-size bound ``N+``, then the AVG CI."""
+    # Guard: a legal view size is >= the sample.
+    Nplus = np.maximum(n_plus(scan.m, r, R, delta_k), scan.m)
+    return vectorized.ci(
+        config.bounder,
+        scan.m,
+        scan.tot,
+        scan.sq,
+        scan.mn,
+        scan.mx,
+        prep.a,
+        prep.b,
+        Nplus,
+        ALPHA * delta_k,
+        config.range_trim,
+    )
+
+
+def _round_ci(kind, config, prep, scan, r, R, delta_k):
+    """One round's ``(1-delta_k)`` interval for the query's aggregate;
+    SUM is the product of AVG and COUNT CIs at ``delta_k/2`` each (§4.1)."""
+    if kind == "count":
+        return count_ci(scan.m, r, R, delta_k)
+    if kind == "sum":
+        a_lo, a_hi = _avg_ci(config, prep, scan, r, R, delta_k / 2.0)
+        return sum_ci(a_lo, a_hi, *count_ci(scan.m, r, R, delta_k / 2.0))
+    return _avg_ci(config, prep, scan, r, R, delta_k)
+
+
+def _estimate(kind, m, tot, r, R, exhausted, empty):
+    """Each view's estimate after ``r`` of ``R`` rows (AVG of none: ``empty``)."""
+    if kind == "count":
+        return np.where(exhausted, m, m / r * R)
+    if kind == "sum":
+        return np.where(exhausted, tot, tot / r * R)
+    return np.where(m > 0, tot / np.maximum(m, 1.0), empty)
+
+
+def _result(spec, config, prep, strategy, est, lo, hi, m, **cost):
+    """The ``QueryResult`` of the views with an output row: every COUNT/SUM
+    view, and each AVG view with rows."""
+    alive = (m > 0) | (spec.result_kind in SCALAR_KINDS)
+    groups = [g for g, al in zip(prep.groups, alive) if al]
+    est, lo, hi = est[alive], lo[alive], hi[alive]
+    return QueryResult(
+        query=spec.name,
+        label=config.label(),
+        strategy=strategy,
+        groups=groups,
+        est=est,
+        lo=lo,
+        hi=hi,
+        m=m[alive],
+        decision=_decide(spec, groups, est, lo, hi),
+        **cost,
+    )
+
+
+def _decide(spec: QuerySpec, groups, est_a, lo_a, hi_a):
+    """Read the query's decision off the output views' intervals."""
+    names = [g if len(g) != 1 else g[0] for g in groups]
 
     kind = spec.result_kind
-    if kind == "avg_ci":
+    if kind in ("avg_ci",) + SCALAR_KINDS:
         if not names:
             return None
-        return {"avg": float(est_a[0]), "lo": float(lo_a[0]), "hi": float(hi_a[0])}
+        key = "avg" if kind == "avg_ci" else kind
+        return {key: float(est_a[0]), "lo": float(lo_a[0]), "hi": float(hi_a[0])}
     if kind in ("having_above", "having_below"):
         cond: Threshold = spec.stopping
         above = cond.decide_above(est_a, lo_a, hi_a)

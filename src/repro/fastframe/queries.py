@@ -76,7 +76,8 @@ class QuerySpec:
     group_cols: Tuple[str, ...] = ()
     agg_col: str = "DepDelay"
     #: how the decision is read off the intervals:
-    #: avg_ci | having_above | having_below | case_gt | topk | ordered
+    #: avg_ci | having_above | having_below | case_gt | topk | ordered,
+    #: or count | sum over one view (no GROUP BY)
     result_kind: str = "avg_ci"
     #: description from paper Table 4 for human-readable reports
     description: str = ""
@@ -105,6 +106,10 @@ class QuerySpec:
         g = ", ".join(self.group_cols)
         if self.result_kind == "avg_ci":
             return f"SELECT AVG({self.agg_col}) AS avg FROM flights{w}"
+        if self.result_kind == "count":
+            return f"SELECT COUNT(*) FROM flights{w}"
+        if self.result_kind == "sum":
+            return f"SELECT COALESCE(SUM({self.agg_col}), 0) FROM flights{w}"
         if self.result_kind in ("having_above", "having_below"):
             op = ">" if self.result_kind == "having_above" else "<"
             v = self.stopping.v  # Threshold condition

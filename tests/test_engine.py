@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.stopping import WidthTarget
 from repro.experiments.ground_truth import (
     decision_correct,
     exact_decision,
@@ -87,6 +88,28 @@ def test_exact_engine_respects_predicate_bitmap(scramble):
     res = run_query(scramble, spec, _cfg(bounder="exact", strategy="scan"))
     assert res.blocks_fetched == int(prep.static_mask.sum())
     assert res.blocks_fetched < scramble.n_blocks  # some blocks skipped
+
+
+def test_exact_mode_runs_no_round_loop(scramble, truth, monkeypatch):
+    """Exact answers come from one bincount over the eligible blocks' rows,
+    not from the block walk, so they cannot depend on the start block."""
+
+    def no_walk(*_, **__):
+        raise AssertionError("an exact query walked the blocks")
+
+    monkeypatch.setattr(engine._BlockPicker, "pick", no_walk)
+    for name, make in Q.ALL_QUERIES.items():
+        spec = make()
+        eligible = int(prepare(scramble, spec).static_mask.sum())
+        results = [
+            run_query(scramble, spec, _cfg(bounder="exact", start_block=start))
+            for start in (0, scramble.n_blocks // 3)
+        ]
+        for res in results:
+            assert decision_correct(spec, res, truth[name]), name
+            assert res.blocks_fetched == eligible
+            assert (res.rounds, res.index_probes, res.exhausted_all) == (1, 0, True)
+        np.testing.assert_array_equal(results[0].est, results[1].est)
 
 
 # --- approximate correctness across all queries and bounders --------------
@@ -406,3 +429,33 @@ def test_count_sum_on_absent_value_is_zero(scramble):
             assert r.exhausted and r.m == 0
             assert r.estimate == r.lo == r.hi == 0.0
     con.close()
+
+
+@pytest.mark.parametrize("agg", ["COUNT", "SUM"])
+def test_count_sum_are_run_query_result_kinds(scramble, agg):
+    """COUNT/SUM run in run_query's loop: an unskipped scan even under an
+    indexable predicate and an active strategy; early-stopped intervals
+    enclose DuckDB's value; run_count_sum reads the same run."""
+    flights = flights_pandas(scramble)
+    view = dataclasses.replace(Q.fq1(), group_cols=(), stopping=Q.RelWidth(0.5))
+    spec = dataclasses.replace(view, result_kind=agg.lower())
+    truth = exact_decision(spec, flights)
+    assert truth > 0
+    for delta in (0.5, 1e-6):
+        res = run_query(scramble, spec, _cfg(strategy="active_peek", delta=delta))
+        assert res.strategy == "scan" and res.index_probes == 0
+        assert not res.exhausted_all and res.lo[0] < res.hi[0]
+        assert decision_correct(spec, res, truth)
+
+    spec = dataclasses.replace(spec, stopping=WidthTarget())
+    res = run_query(scramble, spec, _cfg())
+    assert res.blocks_fetched == scramble.n_blocks
+    assert res.exhausted_all and res.est[0] == res.lo[0] == res.hi[0]
+    assert res.est[0] == pytest.approx(truth, rel=1e-9)
+    cs = run_count_sum(scramble, view, agg, round_rows=ROUND_ROWS)
+    assert (cs.estimate, cs.lo, cs.hi, cs.m) == (
+        res.est[0], res.lo[0], res.hi[0], res.m[0]
+    )
+    assert (cs.blocks_fetched, cs.rows_scanned, cs.rounds, cs.exhausted) == (
+        res.blocks_fetched, res.rows_scanned, res.rounds, res.exhausted_all
+    )

@@ -1,4 +1,5 @@
-"""Layering guard: the CI formulas and Table 2 need no Spark.
+"""Layering guards: the CI formulas and Table 2 need no Spark, and the
+scan engine holds the only round loop.
 
 Every ``repro.core`` module, and the Table 2 harness built on them, must
 import in an interpreter where ``pyspark`` cannot be imported. Spark
@@ -9,12 +10,15 @@ would fail here.
 from __future__ import annotations
 
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
 import repro
 import repro.core
+import repro.fastframe
 
 
 def test_core_imports_without_pyspark():
@@ -34,3 +38,13 @@ def test_core_imports_without_pyspark():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_round_loop_in_fastframe():
+    """Only ``engine.py`` runs an OptStop round loop: no other fastframe
+    module may use the round schedule, the running intersection or the
+    engine's pick-and-fold primitives."""
+    loop_names = re.compile(r"\b(round_delta|RunningIntersection|_Scan)\b")
+    pkg = pathlib.Path(repro.fastframe.__file__).parent
+    users = {p.name for p in pkg.glob("*.py") if loop_names.search(p.read_text())}
+    assert users == {"engine.py"}

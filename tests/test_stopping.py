@@ -11,6 +11,7 @@ from repro.core.stopping import (
     RelWidth,
     Threshold,
     TopK,
+    WidthTarget,
 )
 
 
@@ -69,6 +70,27 @@ def test_rel_width_formula():
     assert rel[0] == pytest.approx(max(2 / 12, 2 / 8))
 
 
+# --- COUNT/SUM width target ----------------------------------------------
+
+def test_width_target_abs_or_rel():
+    # widths 20, 2 and 2e-13; the relative target floors |est| at 1e-12
+    args = _arrays([100, 100, 0], [90, 99, -1e-13], [110, 101, 1e-13])
+
+    def active(**eps):
+        return WidthTarget(**eps).evaluate(*args).active.tolist()
+
+    assert active(abs_eps=5) == [True, False, False]
+    assert active(rel_eps=0.1) == [True, False, True]
+    assert active(rel_eps=0.5) == [False, False, False]
+    assert active(abs_eps=5, rel_eps=0.1) == [True, False, False]
+
+
+def test_width_target_unset_stops_only_at_exhaustion():
+    args = _arrays([1, 1], [1, 1], [1, 1], exhausted=[True, False])
+    v = WidthTarget().evaluate(*args)
+    assert not v.done and v.active.tolist() == [False, True]
+
+
 # --- condition 4: threshold -----------------------------------------------
 
 def test_threshold_resolution_both_sides():
@@ -125,6 +147,17 @@ def test_topk_smallest_active_rule():
     assert v.active.tolist() == [False, True, True, False]
 
 
+def test_topk_tied_exhausted_falls_back_to_unexhausted():
+    """Exhausted groups tied at the K-th estimate are not separated, and the
+    midpoint rule marks nothing active: every unexhausted group is."""
+    cond = TopK(k=1, largest=True)
+    v = cond.evaluate(
+        *_arrays([5, 5, 1], [5, 5, 0], [5, 5, 2], exhausted=[True, True, False])
+    )
+    assert not v.done
+    assert v.active.tolist() == [False, False, True]
+
+
 def test_topk_fewer_groups_than_k_is_done():
     cond = TopK(k=5, largest=True)
     v = cond.evaluate(*_arrays([1, 2], [0, 1], [2, 3]))
@@ -176,6 +209,7 @@ def test_exhausted_groups_never_active_any_condition():
         RelWidth(1e-9),
         Threshold(0.0),
         Ordered(),
+        WidthTarget(abs_eps=1e-9),
     ):
         v = cond.evaluate(
             *_arrays([1, 1], [-100, -100], [100, 100], exhausted=exhausted)
