@@ -3,7 +3,7 @@
 Prints the analog of the paper's Table 3 (dataset description) plus the
 scramble layout and catalog range bounds.
 
-Usage: spark-submit jobs/build_scramble.py [--sf 0.2] [--seed 7]
+Usage: spark-submit jobs/build_scramble.py [--sf 0.6] [--seed 7]
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from _session import get_spark
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sf", type=float, default=0.2)
+    ap.add_argument("--sf", type=float, default=0.6)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 

@@ -14,6 +14,12 @@ Two solvable cases from the appendix:
   with numeric gradients and multi-start, adequate for the smooth
   low-dimensional expressions that appear in aggregates. For concave f,
   the roles swap (apply the machinery to -f).
+
+The numerical minimum is not certified: ``box_min`` (and so the lower
+end of ``convex_bounds`` and the upper end of ``concave_bounds``) returns the best point the descent found,
+which can lie above the true infimum, so it is an estimate of a range
+bound rather than a bound. No query or engine path calls this module;
+only tests do.
 """
 from __future__ import annotations
 

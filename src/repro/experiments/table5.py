@@ -1,32 +1,26 @@
 """Paper Table 5: bounder ablation over F-q1..F-q9.
 
 Runs every query with the Exact baseline and with Hoeffding,
-Hoeffding+RT, Bernstein, Bernstein+RT, reporting wall time of the scan
-loop (for Exact, of its one masked ``bincount``), blocks fetched, and
-speedups over Exact both ways. Every
-approximate decision is verified against DuckDB ground truth
-(the paper's correctness metric).
+Hoeffding+RT, Bernstein, Bernstein+RT (all ``active_peek``) through the
+shared ablation harness (:mod:`repro.experiments.ablation`), with each
+query's exact SQL on Spark timed as the end-to-end reference.
 
 The paper's wall-clock numbers come from a native single-node engine
 over 606 M rows; our simulator reports the same cost structure at
-~1.2 M rows, so the comparison in EXPERIMENTS.md is about *shape*
-(which bounder wins, where Hoeffding degenerates to a full scan,
+3.6 M rows (SF 0.6), so the comparison in EXPERIMENTS.md is about
+*shape* (which bounder wins, where Hoeffding degenerates to a full scan,
 how much RangeTrim buys on sparse-group queries), with the
 blocks-fetched ratio as the scale-insensitive speedup measure.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pandas as pd
 
-from repro.experiments.ground_truth import (
-    decision_correct,
-    exact_decision,
-    flights_pandas,
-)
-from repro.fastframe.engine import EngineConfig, run_query
-from repro.fastframe.queries import ALL_QUERIES, QuerySpec
+from repro.experiments.ablation import run_ablation
+from repro.fastframe.engine import EngineConfig
+from repro.fastframe.queries import ALL_QUERIES
 from repro.fastframe.scramble import Scramble
 
 #: Paper Table 5, transcribed: per query, Exact seconds and speedup over
@@ -50,100 +44,28 @@ BOUNDER_CONFIGS = [
     ("Bernstein+RT", "bernstein", True),
 ]
 
+TITLE = (
+    "Table 5 — speedup over Exact per error bounder "
+    "(loop: round loop vs Exact's bincount; e2e: run_query vs Spark exact SQL)"
+)
+
 
 def run_table5(
     scramble: Scramble,
     *,
     queries: Optional[List[str]] = None,
-    strategy: str = "active_peek",
-    delta: float = 1e-15,
     round_rows: int = 40_000,
-    start_block: int = 0,
 ) -> pd.DataFrame:
-    """One tidy row per (query, approach); Exact included as an approach."""
-    names = queries or list(ALL_QUERIES)
-    flights = flights_pandas(scramble)
-    rows: List[Dict] = []
-    for name in names:
-        spec: QuerySpec = ALL_QUERIES[name]()
-        truth = exact_decision(spec, flights)
-        exact_res = run_query(
-            scramble,
-            spec,
-            EngineConfig(
-                bounder="exact",
-                strategy="scan",
-                round_rows=round_rows,
-                start_block=start_block,
-            ),
+    """One row per (query, approach); Exact is the baseline approach."""
+    configs = {"Exact": EngineConfig(bounder="exact", strategy="scan")}
+    for label, bounder, rt in BOUNDER_CONFIGS:
+        configs[label] = EngineConfig(
+            bounder=bounder, range_trim=rt, round_rows=round_rows
         )
-        base = {
-            "query": name,
-            "exact_wall_s": exact_res.wall_seconds,
-            "exact_blocks": exact_res.blocks_fetched,
-        }
-        rows.append(
-            {
-                **base,
-                "approach": "Exact",
-                "wall_s": exact_res.wall_seconds,
-                "blocks": exact_res.blocks_fetched,
-                "rows_scanned": exact_res.rows_scanned,
-                "speedup_wall": 1.0,
-                "speedup_blocks": 1.0,
-                "correct": decision_correct(spec, exact_res, truth),
-            }
-        )
-        for label, bounder, rt in BOUNDER_CONFIGS:
-            res = run_query(
-                scramble,
-                spec,
-                EngineConfig(
-                    bounder=bounder,
-                    range_trim=rt,
-                    strategy=strategy,
-                    delta=delta,
-                    round_rows=round_rows,
-                    start_block=start_block,
-                ),
-            )
-            rows.append(
-                {
-                    **base,
-                    "approach": label,
-                    "wall_s": res.wall_seconds,
-                    "blocks": res.blocks_fetched,
-                    "rows_scanned": res.rows_scanned,
-                    "speedup_wall": exact_res.wall_seconds / max(res.wall_seconds, 1e-9),
-                    "speedup_blocks": exact_res.blocks_fetched / max(res.blocks_fetched, 1),
-                    "correct": decision_correct(spec, res, truth),
-                }
-            )
-    return pd.DataFrame(rows)
-
-
-def format_table5(df: pd.DataFrame) -> str:
-    """Paper-style rows: speedup over Exact (raw time) per bounder."""
-    out = [
-        "Table 5 — speedup over Exact per error bounder "
-        "(wall x | blocks x, raw seconds in parens)"
-    ]
-    labels = [lbl for lbl, _, _ in BOUNDER_CONFIGS]
-    header = f"{'Query':<7} {'Exact (s)':>10} " + "".join(
-        f"{lbl:>26}" for lbl in labels
+    return run_ablation(
+        scramble,
+        queries or list(ALL_QUERIES),
+        configs,
+        paper=PAPER_TABLE5,
+        spark_exact=True,
     )
-    out.append(header)
-    for q, sub in df.groupby("query", sort=False):
-        exact_s = sub["exact_wall_s"].iloc[0]
-        cells = []
-        for lbl in labels:
-            r = sub[sub["approach"] == lbl].iloc[0]
-            flag = "" if r["correct"] else " WRONG"
-            cells.append(
-                f"{r['speedup_wall']:>8.2f}x|{r['speedup_blocks']:>7.2f}x"
-                f" ({r['wall_s']:.3f}){flag}"
-            )
-        out.append(f"{q:<7} {exact_s:>10.3f} " + " ".join(f"{c:>26}" for c in cells))
-    n_wrong = int((~df["correct"]).sum())
-    out.append(f"correctness: {len(df) - n_wrong}/{len(df)} runs matched ground truth")
-    return "\n".join(out)

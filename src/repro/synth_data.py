@@ -1,6 +1,7 @@
 """Synthetic FLIGHTS data at a configurable scale factor.
 
-SF=1.0 is 6 M rows. Tests use SF<=0.01; benchmarks use SF~=0.1. The
+SF=1.0 is 6 M rows. Tests use SF<=0.01; the Table 5/6 job
+(``jobs/run_table56.py``) defaults to SF=0.6. The
 generator is deterministic in ``seed`` so the DuckDB oracle sees
 identical input.
 """

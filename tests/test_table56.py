@@ -1,27 +1,32 @@
-"""Smoke tests for the Table 5 / Table 6 experiment harnesses.
+"""Smoke tests for the Table 5 / Table 6 experiment harness.
 
 At the tiny test scale (SF=0.005) absolute speedups are meaningless;
-what must hold: every run is correct, the tables are well-formed, and
-cost accounting is internally consistent.
+what must hold: every run is correct, the tables are well-formed and
+share one schema, and cost accounting is internally consistent.
 """
 from __future__ import annotations
 
+import csv
+import pathlib
+
 import pytest
 
+from repro.experiments.ablation import COLUMNS, format_ablation
 from repro.experiments.table5 import (
     BOUNDER_CONFIGS,
     PAPER_TABLE5,
-    format_table5,
+    TITLE as TABLE5_TITLE,
     run_table5,
 )
 from repro.experiments.table6 import (
     PAPER_TABLE6,
     TABLE6_QUERIES,
-    format_table6,
+    TITLE as TABLE6_TITLE,
     run_table6,
 )
 
 T5_QUERIES = ["F-q1", "F-q2", "F-q4", "F-q9"]  # keep the test run fast
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +50,27 @@ def test_table5_all_correct(t5):
 
 
 def test_table5_speedup_consistency(t5):
+    exact = t5[t5.approach == "Exact"].set_index("query")
     approx = t5[t5.approach != "Exact"]
-    expected = approx.exact_blocks / approx.blocks
+    assert (approx.base_blocks == exact.blocks[approx["query"]].to_numpy()).all()
+    expected = approx.base_blocks / approx.blocks
     assert (abs(approx.speedup_blocks - expected) < 1e-9).all()
+    # End to end is measured against the Spark exact query.
+    assert (t5.spark_exact_s > 0).all()
+    assert (abs(t5.speedup_e2e - t5.spark_exact_s / t5.e2e_s) < 1e-9).all()
+    # The harness's timing contains the engine's own.
+    assert (t5.e2e_s >= t5.wall_s).all()
 
 
 def test_table5_exact_rows_are_baseline(t5):
     exact = t5[t5.approach == "Exact"]
     assert (exact.speedup_wall == 1.0).all()
     assert (exact.speedup_blocks == 1.0).all()
+    assert exact.paper_speedup.isna().all()
 
 
 def test_table5_format(t5):
-    text = format_table5(t5)
+    text = format_ablation(t5, TABLE5_TITLE)
     assert "Bernstein+RT" in text and "F-q1" in text
     assert "WRONG" not in text
 
@@ -70,7 +83,7 @@ def test_paper_table5_transcription_complete():
 
 def test_table6_shape(t6):
     assert len(t6) == 2 * 3  # 2 queries x 3 strategies
-    assert set(t6.strategy) == {"Scan", "ActiveSync", "ActivePeek"}
+    assert set(t6.approach) == {"Scan", "ActiveSync", "ActivePeek"}
 
 
 def test_table6_all_correct(t6):
@@ -79,8 +92,8 @@ def test_table6_all_correct(t6):
 
 def test_table6_sync_peek_same_blocks(t6):
     for _, sub in t6.groupby("query"):
-        sync = sub[sub.strategy == "ActiveSync"].blocks.iloc[0]
-        peek = sub[sub.strategy == "ActivePeek"].blocks.iloc[0]
+        sync = sub[sub.approach == "ActiveSync"].blocks.iloc[0]
+        peek = sub[sub.approach == "ActivePeek"].blocks.iloc[0]
         assert sync == peek
 
 
@@ -89,5 +102,35 @@ def test_table6_queries_match_paper():
 
 
 def test_table6_format(t6):
-    text = format_table6(t6)
+    text = format_ablation(t6, TABLE6_TITLE)
     assert "ActivePeek" in text and "WRONG" not in text
+
+
+def test_tables_share_one_schema(t5, t6):
+    assert list(t5.columns) == COLUMNS
+    assert list(t6.columns) == COLUMNS
+    # Table 6 has no Spark reference: end to end is over Scan's run_query.
+    assert t6.spark_exact_s.isna().all()
+    scan = t6[t6.approach == "Scan"].set_index("query").e2e_s[t6["query"]]
+    assert (abs(t6.speedup_e2e - scan.to_numpy() / t6.e2e_s) < 1e-9).all()
+
+
+def test_committed_results_have_the_one_schema():
+    paths = sorted(RESULTS.glob("**/table[56]*.csv"))
+    assert paths
+    for path in paths:
+        assert path.name in ("table5.csv", "table6.csv"), path
+        with path.open(newline="") as f:
+            assert next(csv.reader(f)) == COLUMNS, path
+
+
+def test_format_flags_wrong_run_and_shows_paper_speedup(t6):
+    wrong = t6.copy()
+    wrong.loc[wrong.index[-1], "correct"] = False
+    text = format_ablation(wrong, TABLE6_TITLE)
+    assert "paper_speedup" in text
+    row = wrong.iloc[-1]
+    assert f"{row.paper_speedup:.2f}x" in text
+    lines = [ln for ln in text.splitlines() if "WRONG" in ln]
+    assert len(lines) == 1 and row.approach in lines[0]
+    assert f"correctness: {len(t6) - 1}/{len(t6)}" in text
