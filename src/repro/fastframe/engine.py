@@ -6,18 +6,15 @@ per-group statistics into the running state, recomputes per-group
 confidence intervals with the OptStop-decayed budget, and evaluates the
 query's stopping condition over the running intersection of intervals.
 
-Every strategy (paper §5.2) is one cyclic walk of the scramble
-(``_BlockPicker.pick``) that skips predicate-ineligible blocks; they
-differ only in whether blocks are also filtered by the active groups'
-bitmaps and in how many blocks one index probe covers:
-
-* ``scan``        — no group filtering (no index probes);
-* ``active_sync`` — group filtering, one probe per block (the
-                    cache-miss analog);
-* ``active_peek`` — group filtering, one vectorized probe per
-                    1024-block lookahead batch (the paper's async
-                    lookahead, which amortizes probe cost). It fetches
-                    the same blocks as ``active_sync``.
+Every strategy (paper §5.2) runs one vectorised cyclic walk of the
+scramble (``_BlockPicker.pick``) that skips predicate-ineligible blocks
+and, under ``active_sync`` and ``active_peek``, blocks holding no active
+group. A strategy chooses only ``STRATEGY_BATCH``, the blocks one
+modelled index probe covers (1 for ``active_sync``, the paper's
+1024-block lookahead for ``active_peek``). It sets the walk's frontier
+and ``index_probes``: the (active group x candidate block) cells of the
+batches walked. The paper's Sync/Peek gap, the latency of synchronous
+probe calls, is not modelled.
 
 AVG, COUNT and SUM (result kinds ``count`` and ``sum``, paper §4.1) run
 through this one loop and differ only in each round's interval:
@@ -174,70 +171,81 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
 
 
 class _BlockPicker:
-    """Chooses the next blocks to fetch: one cyclic walk for every strategy.
+    """Chooses the next blocks to fetch: one vectorised walk for all strategies.
 
     Visit order starts at ``start_block`` and wraps (the paper starts
-    each approximate query at a random scramble position). The walk
-    resumes from a persistent frontier and examines ``batch`` blocks at
-    a time. Given group bitmaps, it keeps only blocks holding an active
-    group, probing each batch's candidates in one gather: ActiveSync
-    walks with batch 1 (one index probe per block, the cache-miss
-    analog), ActivePeek with the lookahead batch that amortizes it. While
-    no group becomes active again, both take the same blocks (the blocks
-    a batch passes over after its last take hold no active group).
-    Cycling naturally revisits blocks skipped earlier if their groups
-    become active again, which guarantees every eligible block is
-    eventually fetched (termination with exact results in the worst
-    case).
+    each approximate query at a random scramble position). A pick reads
+    the window of all blocks from a persistent frontier, vectorised, and
+    takes its first ``k_blocks`` hits: blocks still to fetch (``todo``)
+    that hold an active group (``live``, active groups per block; Scan
+    passes none). The frontier then moves to the end of the ``batch``
+    that holds the last block taken, or just past that block if another
+    hit lies before the batch end. ActiveSync (batch 1) and ActivePeek
+    (1024) so take the same blocks while no group becomes active again.
+    Cycling revisits blocks skipped earlier if their groups become active
+    again, so every eligible block is eventually fetched (termination
+    with exact results in the worst case).
     """
 
     def __init__(self, n_blocks: int, start_block: int, batch: int):
         self.n = n_blocks
         order = (np.arange(n_blocks, dtype=np.int64) + start_block) % n_blocks
-        # Doubled, so that a batch which wraps around is still one slice.
+        # Doubled, so that the window from any frontier is one slice.
         self.order = np.concatenate([order, order])
         self.frontier = 0
         self.batch = batch
         self.probes = 0
 
-    def pick(self, fetched, eligible, k_blocks, gmatrix=None, active_idx=None):
-        picked: list = []
-        i = 0
-        while i < self.n and len(picked) < k_blocks:
-            size = min(self.batch, self.n - i)
-            pos = (self.frontier + i) % self.n
-            blocks = self.order[pos : pos + size]
-            hits = np.flatnonzero(~fetched[blocks] & eligible[blocks])
-            if gmatrix is not None and hits.size:
-                self.probes += int(active_idx.size * hits.size)
-                hits = hits[gmatrix[np.ix_(active_idx, blocks[hits])].any(axis=0)]
-            take = hits[: k_blocks - len(picked)]
-            picked.extend(blocks[take].tolist())
-            if take.size < hits.size:
-                # The quota filled mid-batch: stop just past the last block
-                # taken, so the eligible blocks left untaken are not skipped.
-                i += int(take[-1]) + 1
-                break
-            i += size
-        self.frontier = (self.frontier + i) % self.n
-        return np.array(picked, dtype=np.int64)
+    def pick(self, todo, k_blocks, live=None, n_active=0):
+        w = self.order[self.frontier : self.frontier + self.n]
+        # The k-th hit is mostly near the frontier: read the whole batches
+        # that cover 4k blocks first, and the whole window only if they hold
+        # fewer than k hits. Whole batches, so the batch end is in the head.
+        head = min(self.n, -(-4 * k_blocks // self.batch) * self.batch)
+        cand, pos = _hits(w[:head], todo, live)
+        if pos.size < k_blocks and head < self.n:
+            cand, pos = _hits(w, todo, live)
+        if pos.size < k_blocks:
+            # The whole window is walked and the frontier comes back to itself.
+            bend = stop = self.n
+        else:
+            p = int(pos[k_blocks - 1])
+            bend = min(self.n, (p // self.batch + 1) * self.batch)
+            # Stop just past the last block taken if another hit lies before
+            # the batch end, so that hit is not skipped.
+            more = pos.size > k_blocks and pos[k_blocks] < bend
+            stop = p + 1 if more else bend
+        if live is not None:
+            self.probes += n_active * int(np.count_nonzero(cand[:bend]))
+        self.frontier = (self.frontier + stop) % self.n
+        return w[pos[:k_blocks]]
+
+
+def _hits(blocks, todo, live):
+    """Which ``blocks`` are still to fetch, and the positions of the hits."""
+    cand = todo[blocks]
+    return cand, np.flatnonzero(cand if live is None else cand & (live[blocks] > 0))
 
 
 class _Scan:
     """The round primitives of ``run_query``'s loop.
 
-    Holds the fetched mask, the block walk, the cost counters, the
-    running per-group ``m/tot/sq/mn/mx`` and, per group, the number of
-    eligible blocks not yet fetched (``remaining``; 0 means exhausted).
+    Holds the eligible blocks not yet fetched (``todo``), the block walk,
+    the cost counters, the running per-group ``m/tot/sq/mn/mx``, per group
+    the number of its blocks in ``todo`` (``remaining``; 0 means
+    exhausted) and, under an active strategy, per block the number of
+    active groups (``live``).
     """
 
     def __init__(self, scramble: Scramble, prep: Prep, eligible, start_block, batch):
         B, G = scramble.n_blocks, len(prep.groups)
         self.prep = prep
-        self.eligible = eligible
         self.n_rows = scramble.n_rows
         self.block_size = scramble.block_size
-        self.fetched = np.zeros(B, dtype=bool)
+        self.todo = eligible.copy()
+        self.live = None  # None under Scan
+        self.active = None
+        self.n_active = 0
         self.picker = _BlockPicker(B, start_block % B, batch)
         self.blocks_fetched = 0
         self.rows_scanned = 0
@@ -248,19 +256,24 @@ class _Scan:
         self.mx = np.full(G, -np.inf)
         self.remaining = (prep.gmatrix & eligible).sum(axis=1).astype(np.int64)
 
-    def fetch(self, k_blocks: int, active_idx=None) -> bool:
-        """Fetch and fold up to ``k_blocks`` blocks; False if none is left.
+    def set_active(self, active) -> None:
+        """Update ``live`` from the groups whose active bit flipped."""
+        gmatrix = self.prep.gmatrix
+        if self.live is None:
+            self.live = gmatrix[active].sum(axis=0)
+        else:
+            self.live += gmatrix[active & ~self.active].sum(axis=0)
+            self.live -= gmatrix[self.active & ~active].sum(axis=0)
+        self.active = active.copy()
+        self.n_active = int(np.count_nonzero(active))
 
-        With ``active_idx``, only blocks holding one of those groups count.
-        """
+    def fetch(self, k_blocks: int) -> bool:
+        """Fetch and fold up to ``k_blocks`` blocks; False if none is left."""
         p = self.prep
-        gmatrix = None if active_idx is None else p.gmatrix
-        picked = self.picker.pick(
-            self.fetched, self.eligible, k_blocks, gmatrix, active_idx
-        )
+        picked = self.picker.pick(self.todo, k_blocks, self.live, self.n_active)
         if picked.size == 0:
             return False
-        self.fetched[picked] = True
+        self.todo[picked] = False
         self.blocks_fetched += int(picked.size)
         self.remaining -= p.gmatrix[:, picked].sum(axis=1)
         # The picked blocks' rows, block by block in pick order (the bincount
@@ -290,6 +303,8 @@ def run_query(
         raise ValueError(f"unknown bounder {config.bounder!r}")
     if config.strategy not in STRATEGY_BATCH:
         raise ValueError(f"unknown strategy {config.strategy!r}")
+    if not 0 < config.delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {config.delta!r}")
     kind = spec.result_kind
     scalar = kind in SCALAR_KINDS
     if scalar and spec.group_cols:
@@ -319,13 +334,12 @@ def run_query(
     t0 = time.perf_counter()
     while True:
         k_round += 1
-        active_idx = None
         if strategy != "scan":
-            active_idx = np.flatnonzero(active)
-            if active_idx.size == 0:
+            if not active.any():
                 exhausted_all = True
                 break
-        exhausted_all = not scan.fetch(round_blocks, active_idx)
+            scan.set_active(active)
+        exhausted_all = not scan.fetch(round_blocks)
 
         # The round's interval with the OptStop budget (Algorithm 5 /
         # Theorem 4), folded into the running intersection.
@@ -345,12 +359,12 @@ def run_query(
         # contribute no output row; they are dropped from the stopping
         # evaluation entirely (their wide [a, b] intervals would
         # otherwise block separation-style conditions forever).
-        live = np.flatnonzero(alive | ~exhausted)
+        kept = np.flatnonzero(alive | ~exhausted)
         verdict = spec.stopping.evaluate(
-            est[live], lo[live], hi[live], m[live], exhausted[live]
+            est[kept], lo[kept], hi[kept], m[kept], exhausted[kept]
         )
         active = np.zeros(G, dtype=bool)
-        active[live] = verdict.active
+        active[kept] = verdict.active
         if verdict.done or exhausted_all:
             exhausted_all = exhausted_all or bool(exhausted.all())
             break

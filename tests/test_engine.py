@@ -247,13 +247,22 @@ def test_unknown_strategy_raises(scramble, monkeypatch):
         raise AssertionError("config must be checked before the prep")
 
     monkeypatch.setattr(engine, "prepare", no_prep)
-    for bounder, strategy in [
-        ("bernstein", "bogus"),
-        ("exact", "bogus"),
-        ("bogus", "active_peek"),
+    for bounder, strategy, delta in [
+        ("bernstein", "bogus", 1e-15),
+        ("exact", "bogus", 1e-15),
+        ("bogus", "active_peek", 1e-15),
+        # delta must be a probability in (0, 1).
+        ("bernstein", "active_peek", 3.0),
+        ("bernstein", "active_peek", 10.0),
+        ("bernstein", "active_peek", 0.0),
+        ("bernstein", "active_peek", -1.0),
+        ("exact", "scan", 1.0),
     ]:
+        cfg = _cfg(bounder=bounder, strategy=strategy, delta=delta)
         with pytest.raises(ValueError):
-            run_query(scramble, Q.fq9(), _cfg(bounder=bounder, strategy=strategy))
+            run_query(scramble, Q.fq9(), cfg)
+    with pytest.raises(ValueError):
+        run_count_sum(scramble, Q.fq1(), "SUM", delta=10.0)
 
 
 def test_fq4_decision_value(scramble, flights_pdf):
