@@ -13,6 +13,12 @@ reports every run as one row with the same columns (:data:`COLUMNS`):
   *end-to-end* speedup: the reference end-to-end time over ``e2e_s``.
   The reference is ``spark_exact_s`` where it is measured (Table 5),
   else the baseline run's ``e2e_s``.
+
+  Each engine run is repeated :data:`TIMING_RUNS` times, and ``wall_s``
+  and ``e2e_s`` are the medians. A query's configs run in turn, round
+  after round, so that a speedup compares runs made seconds apart: the
+  host's speed drifts over minutes. The repeats must agree in every
+  other result field.
 * ``spark_exact_s`` — the query's exact SQL on Spark over the scramble's
   cached DataFrame: the median of :data:`SPARK_EXACT_RUNS` runs after
   one untimed warm-up. NaN where not measured.
@@ -26,6 +32,7 @@ reports every run as one row with the same columns (:data:`COLUMNS`):
 """
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 from typing import Dict, List, Mapping, Sequence
@@ -38,7 +45,7 @@ from repro.experiments.ground_truth import (
     exact_decision,
     flights_pandas,
 )
-from repro.fastframe.engine import EngineConfig, prepare, run_query
+from repro.fastframe.engine import EngineConfig, QueryResult, prepare, run_query
 from repro.fastframe.queries import ALL_QUERIES, QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -61,6 +68,7 @@ COLUMNS = [
     "correct",
 ]
 SPARK_EXACT_RUNS = 3
+TIMING_RUNS = 5
 
 
 def spark_exact_seconds(scramble: Scramble, spec: QuerySpec) -> float:
@@ -74,6 +82,39 @@ def spark_exact_seconds(scramble: Scramble, spec: QuerySpec) -> float:
         run()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def timed_runs(
+    scramble: Scramble, spec: QuerySpec, configs: Mapping[str, EngineConfig]
+):
+    """``{label: (result, e2e_s)}`` over :data:`TIMING_RUNS` rounds that run
+    every config in turn, so a speedup compares runs made seconds apart.
+    Each result carries its median ``wall_seconds``; ``e2e_s`` is the
+    median call time."""
+    reps: Dict[str, List] = {label: [] for label in configs}
+    for _ in range(TIMING_RUNS):
+        for label, config in configs.items():
+            t0 = time.perf_counter()
+            res = run_query(scramble, spec, config)
+            reps[label].append((res, time.perf_counter() - t0))
+    out = {}
+    for label, runs in reps.items():
+        first = runs[0][0]
+        for res, _ in runs[1:]:
+            for field in dataclasses.fields(QueryResult):
+                if field.name == "wall_seconds":
+                    continue
+                a, b = getattr(first, field.name), getattr(res, field.name)
+                if isinstance(a, np.ndarray):
+                    a, b = a.tobytes(), b.tobytes()
+                if a != b:
+                    raise RuntimeError(
+                        f"{spec.name} {label}: repeated runs differ in {field.name}"
+                    )
+        wall = statistics.median(res.wall_seconds for res, _ in runs)
+        e2e = statistics.median(e2e for _, e2e in runs)
+        out[label] = (dataclasses.replace(first, wall_seconds=wall), e2e)
+    return out
 
 
 def run_ablation(
@@ -101,11 +142,7 @@ def run_ablation(
     for name, spec in zip(queries, specs):
         truth = exact_decision(spec, flights)
         spark_s = spark_exact_seconds(scramble, spec) if spark_exact else np.nan
-        runs = {}
-        for label, config in configs.items():
-            t0 = time.perf_counter()
-            res = run_query(scramble, spec, config)
-            runs[label] = (res, time.perf_counter() - t0)
+        runs = timed_runs(scramble, spec, configs)
         base, base_e2e = next(iter(runs.values()))
         ref_e2e = spark_s if spark_exact else base_e2e
         for label, (res, e2e) in runs.items():

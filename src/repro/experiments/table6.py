@@ -2,15 +2,18 @@
 ActivePeek) with the Bernstein+RT bounder, restricted — as in the
 paper — to the GROUP BY queries (F-q3, F-q5, F-q6, F-q7, F-q8).
 
-All three strategies are one cyclic walk of the scramble. Scan does not
-filter by group and fetches every (predicate-eligible) block. ActiveSync
-and ActivePeek skip blocks holding no active group, and their only
-difference is the walk's batch size: ActiveSync probes the bitmaps one
-block at a time (the cache-miss analog), ActivePeek one vectorized
-gather per 1024-block lookahead batch. So they fetch the same blocks,
-and the difference is pure index-probe overhead. The runs go through
-the shared ablation harness (:mod:`repro.experiments.ablation`) with
-Scan as the baseline.
+All three strategies run the engine's one vectorised walk of the
+scramble. Scan does not filter by group and fetches every
+(predicate-eligible) block. ActiveSync and ActivePeek skip blocks
+holding no active group. They differ only in the modelled index-probe
+batch: one block for ActiveSync (the cache-miss analog), the 1024-block
+lookahead for ActivePeek. The batch sets the ``index_probes`` count, not
+the code that runs, so the two fetch the same blocks in about the same
+time. ``index_probes`` counts (active group x candidate block) cells,
+so it ranks ActivePeek above ActiveSync; the paper's gap between them
+is the latency of synchronous probe calls, which is not modelled. The
+runs go through the shared ablation harness
+(:mod:`repro.experiments.ablation`) with Scan as the baseline.
 """
 from __future__ import annotations
 

@@ -7,11 +7,14 @@ share one schema, and cost accounting is internally consistent.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import pathlib
 
+import numpy as np
 import pytest
 
-from repro.experiments.ablation import COLUMNS, format_ablation
+from repro.experiments import ablation
+from repro.experiments.ablation import COLUMNS, format_ablation, timed_runs
 from repro.experiments.table5 import (
     BOUNDER_CONFIGS,
     PAPER_TABLE5,
@@ -24,6 +27,8 @@ from repro.experiments.table6 import (
     TITLE as TABLE6_TITLE,
     run_table6,
 )
+from repro.fastframe import queries as Q
+from repro.fastframe.engine import EngineConfig, run_query
 
 T5_QUERIES = ["F-q1", "F-q2", "F-q4", "F-q9"]  # keep the test run fast
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -134,3 +139,38 @@ def test_format_flags_wrong_run_and_shows_paper_speedup(t6):
     lines = [ln for ln in text.splitlines() if "WRONG" in ln]
     assert len(lines) == 1 and row.approach in lines[0]
     assert f"correctness: {len(t6) - 1}/{len(t6)}" in text
+
+
+def test_timed_runs_report_medians_and_check_repeats(scramble, monkeypatch):
+    spec, config = Q.fq9(), EngineConfig(round_rows=2000)
+    res = run_query(scramble, spec, config)
+    walls = iter([5.0, 1.0, 4.0, 2.0, 3.0])
+    monkeypatch.setattr(
+        ablation,
+        "run_query",
+        lambda *_: dataclasses.replace(res, wall_seconds=next(walls)),
+    )
+    (got, e2e), = timed_runs(scramble, spec, {"B+RT": config}).values()
+    assert got.wall_seconds == 3.0 and e2e > 0
+    assert got.blocks_fetched == res.blocks_fetched
+
+    # A repeat that differs in any other field is an error.
+    bumped = dataclasses.replace(res, lo=np.nextafter(res.lo, np.inf))
+    runs = iter([res] * (ablation.TIMING_RUNS - 1) + [bumped])
+    monkeypatch.setattr(ablation, "run_query", lambda *_: next(runs))
+    with pytest.raises(RuntimeError, match="B\\+RT: repeated runs differ in lo"):
+        timed_runs(scramble, spec, {"B+RT": config})
+
+
+def test_timed_runs_interleave_configs(scramble, monkeypatch):
+    calls = []
+    res = run_query(scramble, Q.fq9(), EngineConfig(round_rows=2000))
+
+    def record(_, __, config):
+        calls.append(config.strategy)
+        return res
+
+    monkeypatch.setattr(ablation, "run_query", record)
+    configs = {s: EngineConfig(strategy=s) for s in ("scan", "active_peek")}
+    timed_runs(scramble, Q.fq9(), configs)
+    assert calls == ["scan", "active_peek"] * ablation.TIMING_RUNS
