@@ -20,8 +20,9 @@ reports every run as one row with the same columns (:data:`COLUMNS`):
   host's speed drifts over minutes. The repeats must agree in every
   other result field.
 * ``spark_exact_s`` — the query's exact SQL on Spark over the scramble's
-  cached DataFrame: the median of :data:`SPARK_EXACT_RUNS` runs after
-  one untimed warm-up. NaN where not measured.
+  cached DataFrame: after one untimed warm-up, it runs once in each of
+  the engine runs' rounds, before the configs, and this is the median.
+  NaN where not measured.
 * ``blocks``, ``rows_scanned``, ``rounds``, ``index_probes`` — cost
   accounting; ``speedup_blocks`` is the baseline's blocks over this
   run's, the scale-insensitive speedup.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
-from typing import Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -67,32 +68,35 @@ COLUMNS = [
     "paper_speedup",
     "correct",
 ]
-SPARK_EXACT_RUNS = 3
 TIMING_RUNS = 5
 
 
-def spark_exact_seconds(scramble: Scramble, spec: QuerySpec) -> float:
-    """Median time of the query's exact SQL on Spark, after one warm-up."""
+def spark_exact_run(scramble: Scramble, spec: QuerySpec) -> Callable[[], object]:
+    """The query's exact SQL on Spark as a call to time, warmed up once."""
     scramble.df.createOrReplaceTempView("flights")
     run = scramble.df.sparkSession.sql(spec.exact_sql()).collect
     run()
-    times = []
-    for _ in range(SPARK_EXACT_RUNS):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return run
 
 
 def timed_runs(
-    scramble: Scramble, spec: QuerySpec, configs: Mapping[str, EngineConfig]
+    scramble: Scramble,
+    spec: QuerySpec,
+    configs: Mapping[str, EngineConfig],
+    reference: Optional[Callable[[], object]] = None,
 ):
-    """``{label: (result, e2e_s)}`` over :data:`TIMING_RUNS` rounds that run
-    every config in turn, so a speedup compares runs made seconds apart.
-    Each result carries its median ``wall_seconds``; ``e2e_s`` is the
-    median call time."""
+    """``({label: (result, e2e_s)}, reference_s)`` over :data:`TIMING_RUNS`
+    rounds. Each round times ``reference`` (if given), then every config
+    in turn, so a speedup compares runs made seconds apart. Each result
+    carries its median ``wall_seconds``; ``e2e_s`` and ``reference_s``
+    (NaN without a reference) are median call times."""
     reps: Dict[str, List] = {label: [] for label in configs}
+    ref_times = []
     for _ in range(TIMING_RUNS):
+        if reference is not None:
+            t0 = time.perf_counter()
+            reference()
+            ref_times.append(time.perf_counter() - t0)
         for label, config in configs.items():
             t0 = time.perf_counter()
             res = run_query(scramble, spec, config)
@@ -114,7 +118,7 @@ def timed_runs(
         wall = statistics.median(res.wall_seconds for res, _ in runs)
         e2e = statistics.median(e2e for _, e2e in runs)
         out[label] = (dataclasses.replace(first, wall_seconds=wall), e2e)
-    return out
+    return out, statistics.median(ref_times) if ref_times else np.nan
 
 
 def run_ablation(
@@ -130,7 +134,7 @@ def run_ablation(
     ``paper`` maps query -> approach label -> the paper's speedup; the
     baseline has none.
     ``spark_exact`` times each query's exact SQL on Spark as the
-    end-to-end reference.
+    end-to-end reference, in the same rounds as the engine runs.
     """
     specs = [ALL_QUERIES[name]() for name in queries]
     # One untimed prep per query builds the column bitmaps it reads: they
@@ -141,8 +145,8 @@ def run_ablation(
     rows: List[Dict] = []
     for name, spec in zip(queries, specs):
         truth = exact_decision(spec, flights)
-        spark_s = spark_exact_seconds(scramble, spec) if spark_exact else np.nan
-        runs = timed_runs(scramble, spec, configs)
+        reference = spark_exact_run(scramble, spec) if spark_exact else None
+        runs, spark_s = timed_runs(scramble, spec, configs, reference)
         base, base_e2e = next(iter(runs.values()))
         ref_e2e = spark_s if spark_exact else base_e2e
         for label, (res, e2e) in runs.items():

@@ -5,15 +5,20 @@ pair whether the block contains at least one row with that value —
 exactly the information FastFrame's active scanning needs to decide
 whether a block can contribute tuples to an active group. It is built
 once per scramble from the column store with one NumPy scatter of the
-column's codes into a dense boolean matrix ``[n_values, n_blocks]``,
+column's codes into a dense boolean matrix ``[n_blocks, n_values]``,
 and it keeps those codes (each row's index into the sorted values).
+
+Every presence matrix is block-major: block ``b``'s row marks the
+values (or groups) it holds, contiguous, so the engine's per-round
+work over the blocks it fetches is a gather of whole rows. A value's
+block bitmap (``ColumnBitmap.row``) is a column of that matrix.
 
 A GROUP BY on one column reuses that index as is: its keys, row ids
 and matrix are the column's values, codes and matrix, so the query
 does no prep work for them. Composite keys (e.g. F-q6's ``DayOfWeek,
 Origin``) come from one ``bincount`` of the columns' composite codes,
 which yields the present keys in sorted order without a sort, then the
-same scatter, so their matrix is exact too: a group's row marks
+same scatter, so their matrix is exact too: a group's column marks
 exactly the blocks holding at least one of its rows.
 """
 from __future__ import annotations
@@ -34,23 +39,29 @@ class ColumnBitmap:
     column: str
     values: List  # sorted distinct values
     codes: np.ndarray  # int [n_rows] — each row's index into values
-    matrix: np.ndarray  # bool [n_values, n_blocks]
+    matrix: np.ndarray  # bool [n_blocks, n_values]
 
     def row(self, value) -> np.ndarray:
+        """bool [n_blocks]: the blocks holding ``value`` (a column view)."""
         try:
             idx = self.values.index(value)
         except ValueError:
             raise KeyError(
                 f"value {value!r} not present in column {self.column!r}"
             ) from None
-        return self.matrix[idx]
+        return self.matrix[:, idx]
 
 
 def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """bool [n_codes, n_blocks]: does the block hold a row of the code."""
-    matrix = np.zeros((n_codes, scramble.n_blocks), dtype=bool)
-    matrix[codes, np.arange(codes.size) // scramble.block_size] = True
-    return matrix
+    """bool [n_blocks, n_codes]: does the block hold a row of the code.
+
+    One flat scatter at ``block * n_codes + code``; rows are in block
+    order, so its writes walk the matrix front to back.
+    """
+    flat = np.zeros(scramble.n_blocks * n_codes, dtype=bool)
+    block = np.arange(codes.size) // scramble.block_size
+    flat[block * n_codes + codes] = True
+    return flat.reshape(scramble.n_blocks, n_codes)
 
 
 def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
@@ -93,7 +104,7 @@ def group_domain(
 def group_bitmap_matrix(
     scramble: Scramble, group_cols: Sequence[str]
 ) -> Tuple[List[Tuple], np.ndarray, np.ndarray]:
-    """Group keys, each row's group and the presence matrix [n_groups, n_blocks].
+    """Group keys, each row's group and the presence matrix [n_blocks, n_groups].
 
     For one column these are its bitmap index's own values, codes and
     matrix, shared: callers must not write to them.

@@ -29,11 +29,15 @@ column store and its column bitmap indexes: the predicate's row mask
 and eligible blocks, each row's group and the group bitmaps, all in
 NumPy and without a sort. A one-column GROUP BY takes its groups, row
 ids and bitmaps from the column's index as they are; a composite one
-builds them with one ``bincount`` and one scatter. Each round
-then gathers the picked blocks' rows (block ``b`` is rows
-``[b*block_size, (b+1)*block_size)``) and folds the masked values into
-the per-group statistics, so the work of a query is proportional to
-the blocks it fetches — the cost structure of the paper's in-memory
+builds them with one ``bincount`` and one scatter. The group bitmaps
+are one block-major matrix ``[n_blocks, n_groups]``. Each round then
+gathers the picked blocks' rows (block ``b`` is rows
+``[b*block_size, (b+1)*block_size)``, one row of a
+``[n_blocks, block_size]`` view) and folds the masked values into the
+per-group statistics, and updates its per-group and per-block counts
+from the fetched blocks' bitmap rows and the flipped groups' columns.
+After the first round, so, the work of a round is proportional to the
+blocks it fetches — the cost structure of the paper's in-memory
 engine. ``wall_seconds`` times the round loop (or the exact
 ``bincount``).
 
@@ -96,7 +100,7 @@ class Prep:
     """Bounder/strategy-independent per-query artifacts."""
 
     groups: List[Tuple]
-    gmatrix: np.ndarray  # bool [G, B] — group presence per block
+    gmatrix: np.ndarray  # bool [B, G] — group presence per block
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
     rows: np.ndarray  # bool [R] — rows satisfying the predicate
     gid: np.ndarray  # int [R] — each row's group index
@@ -147,7 +151,7 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     else:
         groups = [()]
         gid = np.zeros(scramble.n_rows, dtype=np.int64)
-        gmatrix = np.ones((1, scramble.n_blocks), dtype=bool)
+        gmatrix = np.ones((scramble.n_blocks, 1), dtype=bool)
 
     static = np.ones(scramble.n_blocks, dtype=bool)
     rows = np.ones(scramble.n_rows, dtype=bool)
@@ -234,14 +238,27 @@ class _Scan:
     the cost counters, the running per-group ``m/tot/sq/mn/mx``, per group
     the number of its blocks in ``todo`` (``remaining``; 0 means
     exhausted) and, under an active strategy, per block the number of
-    active groups (``live``).
+    active groups (``live``). Both counts are sums over the block-major
+    group matrix, read as ``uint8``: after the first round, a round reads
+    only the rows of the blocks it fetches and the columns of the groups
+    whose active bit flipped.
+
+    The fold reads ``gid``, ``values`` and the predicate's row mask as
+    ``[n_blocks, block_size]``, one row per block, and gathers the picked
+    blocks' rows in pick order. A short last block is padded with rows
+    outside the mask; with no predicate and no padding there is no mask.
     """
 
     def __init__(self, scramble: Scramble, prep: Prep, eligible, start_block, batch):
         B, G = scramble.n_blocks, len(prep.groups)
-        self.prep = prep
-        self.n_rows = scramble.n_rows
-        self.block_size = scramble.block_size
+        bs = self.block_size = scramble.block_size
+        self.short = B * bs - scramble.n_rows  # rows missing from block B-1
+        self.gid = _by_block(prep.gid, B, bs, 0)
+        self.values = _by_block(prep.values, B, bs, 0.0)
+        self.rows = None
+        if self.short or not prep.rows.all():
+            self.rows = _by_block(prep.rows, B, bs, False)
+        self.g8 = prep.gmatrix.view(np.uint8)
         self.todo = eligible.copy()
         self.live = None  # None under Scan
         self.active = None
@@ -254,44 +271,69 @@ class _Scan:
         self.sq = np.zeros(G, dtype=np.float64)
         self.mn = np.full(G, np.inf)
         self.mx = np.full(G, -np.inf)
-        self.remaining = (prep.gmatrix & eligible).sum(axis=1).astype(np.int64)
+        self.remaining = _count(self.g8[eligible], axis=0)
 
     def set_active(self, active) -> None:
         """Update ``live`` from the groups whose active bit flipped."""
-        gmatrix = self.prep.gmatrix
+        g8 = self.g8
         if self.live is None:
-            self.live = gmatrix[active].sum(axis=0)
+            self.live = _count(g8 if active.all() else g8[:, active], axis=1)
         else:
-            self.live += gmatrix[active & ~self.active].sum(axis=0)
-            self.live -= gmatrix[self.active & ~active].sum(axis=0)
+            on, off = active & ~self.active, self.active & ~active
+            if on.any():
+                self.live += _count(g8[:, on], axis=1)
+            if off.any():
+                self.live -= _count(g8[:, off], axis=1)
         self.active = active.copy()
         self.n_active = int(np.count_nonzero(active))
 
-    def fetch(self, k_blocks: int) -> bool:
-        """Fetch and fold up to ``k_blocks`` blocks; False if none is left."""
-        p = self.prep
+    def fetch(self, k_blocks: int) -> np.ndarray:
+        """Fetch and fold up to ``k_blocks`` blocks; returns the blocks
+        fetched, none if no block is left."""
         picked = self.picker.pick(self.todo, k_blocks, self.live, self.n_active)
         if picked.size == 0:
-            return False
+            return picked
         self.todo[picked] = False
         self.blocks_fetched += int(picked.size)
-        self.remaining -= p.gmatrix[:, picked].sum(axis=1)
-        # The picked blocks' rows, block by block in pick order (the bincount
-        # sums depend on the order they accumulate in); the last block may
-        # be short.
-        bs = self.block_size
-        rows = (picked[:, None] * bs + np.arange(bs)).ravel()
-        rows = rows[rows < self.n_rows]
-        self.rows_scanned += int(rows.size)
-        rows = rows[p.rows[rows]]
-        g, v = p.gid[rows], p.values[rows]
+        self.remaining -= _count(self.g8[picked], axis=0)
+        self.rows_scanned += int(picked.size) * self.block_size
+        if self.short and (picked == self.todo.size - 1).any():
+            self.rows_scanned -= self.short
+        # Block by block in pick order: the bincount sums depend on the
+        # order they accumulate in.
+        g, v = self.gid[picked].ravel(), self.values[picked].ravel()
+        if self.rows is not None:
+            keep = np.flatnonzero(self.rows[picked])
+            g, v = g[keep], v[keep]
         G = self.m.size
         self.m += np.bincount(g, minlength=G)
         self.tot += np.bincount(g, weights=v, minlength=G)
         self.sq += np.bincount(g, weights=v * v, minlength=G)
         np.minimum.at(self.mn, g, v)
         np.maximum.at(self.mx, g, v)
-        return True
+        return picked
+
+
+def _by_block(a, n_blocks, block_size, pad):
+    """``a`` as ``[n_blocks, block_size]``, one row per block: a view, or,
+    if the last block is short, a copy padded with ``pad``."""
+    short = n_blocks * block_size - a.size
+    if short:
+        a = np.concatenate([a, np.full(short, pad, dtype=a.dtype)])
+    return a.reshape(n_blocks, block_size)
+
+
+def _count(m8, axis):
+    """Sums of a 0/1 ``uint8`` matrix along ``axis``, as ``int32``.
+
+    Runs of up to 255 entries are summed in ``uint8`` first: such a sum
+    cannot overflow, and needs no cast, which makes it ~3x faster.
+    """
+    m8 = np.moveaxis(m8, axis, -1)
+    n = m8.shape[-1] // 255 * 255
+    runs = m8[..., :n].reshape(*m8.shape[:-1], -1, 255)
+    head = runs.sum(axis=-1, dtype=np.uint8).sum(axis=-1, dtype=np.int32)
+    return head + m8[..., n:].sum(axis=-1, dtype=np.uint8)
 
 
 def run_query(
@@ -339,7 +381,7 @@ def run_query(
                 exhausted_all = True
                 break
             scan.set_active(active)
-        exhausted_all = not scan.fetch(round_blocks)
+        exhausted_all = scan.fetch(round_blocks).size == 0
 
         # The round's interval with the OptStop budget (Algorithm 5 /
         # Theorem 4), folded into the running intersection.

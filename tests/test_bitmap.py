@@ -67,7 +67,7 @@ def test_single_column_group_matrix(scramble):
     groups, _, matrix = group_bitmap_matrix(scramble, ("Airline",))
     bm = get_column_bitmap(scramble, "Airline")
     for i, g in enumerate(groups):
-        assert np.array_equal(matrix[i], bm.row(g[0]))
+        assert np.array_equal(matrix[:, i], bm.row(g[0]))
 
 
 def test_pair_matrix_is_exact(scramble):
@@ -77,7 +77,7 @@ def test_pair_matrix_is_exact(scramble):
     expected = np.zeros_like(matrix)
     for i, ((d, o), sub) in enumerate(pdf.groupby(["DayOfWeek", "Origin"])):
         assert groups[i] == (d, o)
-        expected[i, sub.block_id.unique()] = True
+        expected[sub.block_id.unique(), i] = True
     assert len(groups) == i + 1
     assert np.array_equal(matrix, expected)
 
@@ -85,5 +85,7 @@ def test_pair_matrix_is_exact(scramble):
 def test_matrix_shapes(scramble):
     groups, gid, matrix = group_bitmap_matrix(scramble, ("Origin",))
     assert gid.shape == (scramble.n_rows,)
-    assert matrix.shape == (len(groups), scramble.n_blocks)
+    assert matrix.shape == (scramble.n_blocks, len(groups))
     assert matrix.dtype == bool
+    # Block-major: a block's groups are one contiguous row.
+    assert matrix.flags.c_contiguous

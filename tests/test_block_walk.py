@@ -6,8 +6,12 @@ per lookahead batch. While no group becomes active again, both must
 take the same blocks every round, and the batched walk never probes
 less. The walk must also equal, pick for pick, the per-batch probe loop
 it replaced (``_ReferencePicker``), with groups both leaving and
-re-entering the active set, and ``_Scan.set_active`` must keep ``live``
-equal to the number of active groups in each block.
+re-entering the active set; ``_Scan.set_active`` must keep ``live``
+equal to the number of active groups in each block, and ``_Scan.fetch``
+``remaining`` equal to each group's number of blocks still to fetch.
+The group matrix is block-major, ``[n_blocks, n_groups]``, as the
+engine's. Each fetch must fold exactly the picked blocks' rows, in pick
+order, a short last block included.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan
 
 
 class _ReferencePicker:
-    """The per-batch probe loop the vectorised walk replaced, kept verbatim."""
+    """The per-batch probe loop the vectorised walk replaced, kept verbatim
+    but for the block-major matrix."""
 
     def __init__(self, n_blocks: int, start_block: int, batch: int):
         self.n = n_blocks
@@ -41,7 +46,7 @@ class _ReferencePicker:
             hits = np.flatnonzero(~fetched[blocks] & eligible[blocks])
             if gmatrix is not None and hits.size:
                 self.probes += int(active_idx.size * hits.size)
-                hits = hits[gmatrix[np.ix_(active_idx, blocks[hits])].any(axis=0)]
+                hits = hits[gmatrix[np.ix_(blocks[hits], active_idx)].any(axis=1)]
             take = hits[: k_blocks - len(picked)]
             picked.extend(blocks[take].tolist())
             if take.size < hits.size:
@@ -58,24 +63,29 @@ def _case(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 3000))
     G = int(rng.integers(1, 12))
-    gmatrix = rng.random((G, n)) < rng.uniform(0.01, 0.6)
+    # Drawn group-major, so the cases are those of the group-major layout.
+    gmatrix = np.ascontiguousarray((rng.random((G, n)) < rng.uniform(0.01, 0.6)).T)
     eligible = rng.random(n) < rng.uniform(0.2, 1.0)
     start = int(rng.integers(0, n))
     return rng, n, G, gmatrix, eligible, start
 
 
 def _scan(n, G, gmatrix, eligible, start, batch):
-    """A ``_Scan`` over one-row blocks, for its walk and its ``live`` count."""
+    """A ``_Scan`` over one-row blocks, for its walk and its counts."""
     scramble = SimpleNamespace(n_blocks=n, n_rows=n, block_size=1)
-    prep = SimpleNamespace(groups=[()] * G, gmatrix=gmatrix)
+    prep = SimpleNamespace(
+        groups=[()] * G,
+        gmatrix=gmatrix,
+        rows=np.ones(n, dtype=bool),
+        gid=np.zeros(n, dtype=np.int64),
+        values=np.zeros(n),
+    )
     return _Scan(scramble, prep, eligible, start, batch)
 
 
 def _pick(scan, k):
-    """One pick of the scan's walk; the picked blocks leave ``todo``."""
-    picked = scan.picker.pick(scan.todo, k, scan.live, scan.n_active)
-    scan.todo[picked] = False
-    return picked
+    """One fetch of the scan; the picked blocks leave ``todo``."""
+    return scan.fetch(k)
 
 
 @pytest.mark.parametrize("grouped", [True, False])
@@ -124,7 +134,7 @@ def test_walk_picks_every_eligible_block_before_running_dry(seed, batch):
             break
         assert not fetched[picked].any()
         fetched[picked] = True
-    expected = eligible & gmatrix[active].any(axis=0)
+    expected = eligible & gmatrix[:, active].any(axis=1)
     np.testing.assert_array_equal(fetched, expected)
 
 
@@ -141,7 +151,7 @@ def test_walk_matches_reference_loop(seed, batch, grouped):
         k = int(rng.integers(1, 200))
         if grouped:
             scan.set_active(active)
-            np.testing.assert_array_equal(scan.live, gmatrix[active].sum(axis=0))
+            np.testing.assert_array_equal(scan.live, gmatrix[:, active].sum(axis=1))
             want = ref.pick(fetched, eligible, k, gmatrix, np.flatnonzero(active))
         else:
             want = ref.pick(fetched, eligible, k)
@@ -150,8 +160,52 @@ def test_walk_matches_reference_loop(seed, batch, grouped):
         assert (scan.picker.probes, scan.picker.frontier) == (ref.probes, ref.frontier)
         fetched[want] = True
         np.testing.assert_array_equal(scan.todo, eligible & ~fetched)
+        np.testing.assert_array_equal(scan.remaining, gmatrix[scan.todo].sum(axis=0))
         if not scan.todo.any():
             break
         # Each group's active bit flips with probability 0.3: groups leave
         # the active set and come back, and at times none is active.
         active ^= rng.random(G) < 0.3
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fold_reads_picked_rows_in_pick_order(seed):
+    """Each fetch folds the rows of the blocks it picked, block by block in
+    pick order, byte for byte as a gather by row index; the last block is
+    short and always eligible."""
+    rng, n, G, gmatrix, eligible, start = _case(seed)
+    bs = int(rng.integers(2, 10))
+    R = n * bs - int(rng.integers(1, bs))
+    eligible[-1] = True
+    prep = SimpleNamespace(
+        groups=[()] * G,
+        gmatrix=gmatrix,
+        rows=rng.random(R) < 0.7,
+        gid=rng.integers(0, G, R),
+        values=rng.normal(size=R),
+    )
+    scramble = SimpleNamespace(n_blocks=n, n_rows=R, block_size=bs)
+    scan = _Scan(scramble, prep, eligible, start, LOOKAHEAD_BLOCKS)
+    m, tot, sq = np.zeros(G), np.zeros(G), np.zeros(G)
+    mn, mx = np.full(G, np.inf), np.full(G, -np.inf)
+    scanned = 0
+    while True:
+        picked = scan.fetch(int(rng.integers(1, 200)))
+        if picked.size == 0:
+            break
+        rows = (picked[:, None] * bs + np.arange(bs)).ravel()
+        rows = rows[rows < R]
+        scanned += rows.size
+        rows = rows[prep.rows[rows]]
+        g, v = prep.gid[rows], prep.values[rows]
+        m += np.bincount(g, minlength=G)
+        tot += np.bincount(g, weights=v, minlength=G)
+        sq += np.bincount(g, weights=v * v, minlength=G)
+        np.minimum.at(mn, g, v)
+        np.maximum.at(mx, g, v)
+        got = (scan.m, scan.tot, scan.sq, scan.mn, scan.mx)
+        for a, b in zip((m, tot, sq, mn, mx), got):
+            assert a.tobytes() == b.tobytes()
+        assert scan.rows_scanned == scanned
+    assert not scan.todo.any()
+    assert scanned == R - bs * int(np.count_nonzero(~eligible))

@@ -31,6 +31,7 @@ from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
 from repro.fastframe.scramble import build_scramble
 from repro.oracle import assert_equivalent
+from tests.conftest import TEST_SEED
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
 STRATEGIES = ("scan", "active_sync", "active_peek")
@@ -313,6 +314,44 @@ def test_short_last_block_matches_duckdb(short_tail_scramble):
         r = run_count_sum(sc, view, agg, round_rows=250)
         assert r.exhausted and r.rows_scanned == sc.n_rows
         assert r.estimate == pytest.approx(truth, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def block7_scramble(flights_df):
+    """The tier-1 data in blocks of 7 rows: the last block holds 5."""
+    sc = build_scramble(flights_df, seed=TEST_SEED + 1, block_size=7)
+    yield sc
+    sc.df.unpersist()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_block7_queries_match_duckdb(block7_scramble, strategy):
+    sc = block7_scramble
+    assert (sc.n_rows, sc.n_blocks, sc.rows_per_block[-1]) == (30_000, 4_286, 5)
+    flights = flights_pandas(sc)
+    for name, make in Q.ALL_QUERIES.items():
+        spec = make()
+        res = run_query(sc, spec, _cfg(strategy=strategy, delta=1e-15))
+        assert decision_correct(spec, res, exact_decision(spec, flights)), name
+
+
+def test_block7_count_sum_exhaustive_equal_duckdb(block7_scramble):
+    sc = block7_scramble
+    con = duckdb.connect()
+    con.register("flights", flights_pandas(sc))
+    for view in _views():
+        count, total = con.execute(
+            f"SELECT COUNT({view.agg_col}), SUM({view.agg_col}) "
+            f"FROM flights{view.predicate_sql()}"
+        ).fetchone()
+        for agg, truth in (("COUNT", count), ("SUM", total)):
+            r = run_count_sum(sc, view, agg, round_rows=ROUND_ROWS)
+            assert r.exhausted and r.rows_scanned == sc.n_rows
+            # A float SUM depends on the order it adds in, which differs
+            # from DuckDB's; a COUNT is exact.
+            rel = 1e-12 if agg == "SUM" else 0
+            assert r.estimate == pytest.approx(truth, rel=rel, abs=0), (view.name, agg)
+    con.close()
 
 
 class _NoSpark:

@@ -150,8 +150,9 @@ def test_timed_runs_report_medians_and_check_repeats(scramble, monkeypatch):
         "run_query",
         lambda *_: dataclasses.replace(res, wall_seconds=next(walls)),
     )
-    (got, e2e), = timed_runs(scramble, spec, {"B+RT": config}).values()
-    assert got.wall_seconds == 3.0 and e2e > 0
+    runs, ref_s = timed_runs(scramble, spec, {"B+RT": config})
+    (got, e2e), = runs.values()
+    assert got.wall_seconds == 3.0 and e2e > 0 and np.isnan(ref_s)
     assert got.blocks_fetched == res.blocks_fetched
 
     # A repeat that differs in any other field is an error.
@@ -174,3 +175,25 @@ def test_timed_runs_interleave_configs(scramble, monkeypatch):
     configs = {s: EngineConfig(strategy=s) for s in ("scan", "active_peek")}
     timed_runs(scramble, Q.fq9(), configs)
     assert calls == ["scan", "active_peek"] * ablation.TIMING_RUNS
+
+
+def test_spark_reference_runs_in_every_round(scramble, monkeypatch):
+    """Table 5's Spark reference is timed in each round, before the configs."""
+    calls = []
+    res = run_query(scramble, Q.fq9(), EngineConfig(round_rows=2000))
+
+    def record(_, __, config):
+        calls.append(config.strategy)
+        return res
+
+    monkeypatch.setattr(ablation, "run_query", record)
+    monkeypatch.setattr(
+        ablation, "spark_exact_run", lambda *_: lambda: calls.append("spark")
+    )
+    configs = {s: EngineConfig(strategy=s) for s in ("scan", "active_peek")}
+    paper = {"F-q9": {}}
+    df = ablation.run_ablation(
+        scramble, ["F-q9"], configs, paper=paper, spark_exact=True
+    )
+    assert calls == ["spark", "scan", "active_peek"] * ablation.TIMING_RUNS
+    assert (df.spark_exact_s > 0).all()
