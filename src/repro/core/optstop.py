@@ -38,19 +38,21 @@ class RunningIntersection:
     def __init__(self, n_groups: int, a: float, b: float):
         self.lo = np.full(n_groups, a, dtype=np.float64)
         self.hi = np.full(n_groups, b, dtype=np.float64)
+        self.crossings = 0
 
     def update(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Fold round-k intervals in: lo = max(lo, L_k), hi = min(hi, R_k).
 
         An empty intersection is a probability-<delta event (some round's
         interval missed the truth); it collapses to the midpoint as a
-        degenerate interval rather than crash. The crossing is not
-        observable by callers yet (ROADMAP E asks for a counter).
+        degenerate interval rather than crash, and ``crossings`` counts
+        the groups it happened to.
         """
         self.lo = np.maximum(self.lo, lo)
         self.hi = np.minimum(self.hi, hi)
         crossed = self.lo > self.hi
         if np.any(crossed):  # < delta probability; degrade gracefully
+            self.crossings += int(np.count_nonzero(crossed))
             mid = 0.5 * (self.lo + self.hi)
             self.lo = np.where(crossed, mid, self.lo)
             self.hi = np.where(crossed, mid, self.hi)

@@ -62,6 +62,9 @@ def run_count_sum(
     """
     if agg not in ("COUNT", "SUM"):
         raise ValueError(f"agg must be COUNT or SUM, got {agg!r}")
+    for name, eps in (("rel_eps", rel_eps), ("abs_eps", abs_eps)):
+        if eps is not None and not eps > 0:
+            raise ValueError(f"{name} must be > 0, got {eps!r}")
     spec = dataclasses.replace(
         spec,
         stopping=WidthTarget(abs_eps=abs_eps, rel_eps=rel_eps),

@@ -36,6 +36,9 @@ gathers the picked blocks' rows (block ``b`` is rows
 ``[n_blocks, block_size]`` view) and folds the masked values into the
 per-group statistics, and updates its per-group and per-block counts
 from the fetched blocks' bitmap rows and the flipped groups' columns.
+The fold does only the work its view needs: ``bincount`` and
+``ufunc.at`` for many groups, whole-array reductions for one (no
+per-row group ids), and for COUNT the row count alone.
 After the first round, so, the work of a round is proportional to the
 blocks it fetches — the cost structure of the paper's in-memory
 engine. ``wall_seconds`` times the round loop (or the exact
@@ -103,7 +106,7 @@ class Prep:
     gmatrix: np.ndarray  # bool [B, G] — group presence per block
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
     rows: np.ndarray  # bool [R] — rows satisfying the predicate
-    gid: np.ndarray  # int [R] — each row's group index
+    gid: Optional[np.ndarray]  # int [R] — each row's group; None for one view
     values: np.ndarray  # float [R] — the measure column, in row order
     a: float
     b: float
@@ -128,6 +131,9 @@ class QueryResult:
     wall_seconds: float
     index_probes: int
     exhausted_all: bool
+    #: Group intervals that crossed and collapsed to their midpoint, summed
+    #: over rounds (each a < delta event, see ``RunningIntersection``).
+    crossings: int
 
     def per_group(self) -> pd.DataFrame:
         return pd.DataFrame(
@@ -149,8 +155,7 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     if spec.group_cols:
         groups, gid, gmatrix = group_bitmap_matrix(scramble, spec.group_cols)
     else:
-        groups = [()]
-        gid = np.zeros(scramble.n_rows, dtype=np.int64)
+        groups, gid = [()], None
         gmatrix = np.ones((scramble.n_blocks, 1), dtype=bool)
 
     static = np.ones(scramble.n_blocks, dtype=bool)
@@ -247,13 +252,24 @@ class _Scan:
     ``[n_blocks, block_size]``, one row per block, and gathers the picked
     blocks' rows in pick order. A short last block is padded with rows
     outside the mask; with no predicate and no padding there is no mask.
+    It does only the work its view needs: many groups fold through
+    ``bincount`` and ``ufunc.at``; one group through whole-array
+    reductions of the kept values, with no ``gid``; and a COUNT
+    (``count_only``) folds ``m`` alone, from the mask's count or, with no
+    mask, from the number of blocks. The one-group fold adds in pick order
+    as ``bincount`` does and keeps ``ufunc.at``'s pick between a tied
+    -0.0 and +0.0, so it gives the same bytes.
     """
 
-    def __init__(self, scramble: Scramble, prep: Prep, eligible, start_block, batch):
+    def __init__(
+        self, scramble: Scramble, prep: Prep, eligible, start_block, batch,
+        count_only=False,
+    ):
         B, G = scramble.n_blocks, len(prep.groups)
         bs = self.block_size = scramble.block_size
         self.short = B * bs - scramble.n_rows  # rows missing from block B-1
-        self.gid = _by_block(prep.gid, B, bs, 0)
+        self.count_only = count_only
+        self.gid = _by_block(prep.gid, B, bs, 0) if G > 1 else None
         self.values = _by_block(prep.values, B, bs, 0.0)
         self.rows = None
         if self.short or not prep.rows.all():
@@ -299,12 +315,27 @@ class _Scan:
         self.rows_scanned += int(picked.size) * self.block_size
         if self.short and (picked == self.todo.size - 1).any():
             self.rows_scanned -= self.short
-        # Block by block in pick order: the bincount sums depend on the
-        # order they accumulate in.
-        g, v = self.gid[picked].ravel(), self.values[picked].ravel()
-        if self.rows is not None:
-            keep = np.flatnonzero(self.rows[picked])
-            g, v = g[keep], v[keep]
+        if self.count_only:
+            if self.rows is None:
+                self.m += picked.size * self.block_size
+            else:
+                self.m += np.count_nonzero(self.rows[picked])
+            return picked
+        # Block by block in pick order: the sums depend on the order they
+        # accumulate in.
+        keep = slice(None) if self.rows is None else np.flatnonzero(self.rows[picked])
+        v = self.values[picked].ravel()[keep]
+        if self.gid is None:
+            self.m += v.size
+            if v.size:
+                # ``tot`` is never -0.0, so adding the round's sum from
+                # ``v[0]`` gives the bytes of bincount's sum from +0.0.
+                self.tot += np.add.accumulate(v)[-1]
+                self.sq += np.add.accumulate(v * v)[-1]
+                np.minimum(self.mn, _last_tie(v.min(), v), out=self.mn)
+                np.maximum(self.mx, _last_tie(v.max(), v), out=self.mx)
+            return picked
+        g = self.gid[picked].ravel()[keep]
         G = self.m.size
         self.m += np.bincount(g, minlength=G)
         self.tot += np.bincount(g, weights=v, minlength=G)
@@ -312,6 +343,13 @@ class _Scan:
         np.minimum.at(self.mn, g, v)
         np.maximum.at(self.mx, g, v)
         return picked
+
+
+def _last_tie(x, v):
+    """``v.min()`` or ``v.max()`` as ``ufunc.at`` leaves it: of values that
+    tie with ``x``, the last. Only a zero can tie with another of other
+    bytes (-0.0 and +0.0)."""
+    return v[np.flatnonzero(v == 0)[-1]] if x == 0 else x
 
 
 def _by_block(a, n_blocks, block_size, pad):
@@ -347,6 +385,8 @@ def run_query(
         raise ValueError(f"unknown strategy {config.strategy!r}")
     if not 0 < config.delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {config.delta!r}")
+    if config.round_rows < 1:
+        raise ValueError(f"round_rows must be >= 1, got {config.round_rows!r}")
     kind = spec.result_kind
     scalar = kind in SCALAR_KINDS
     if scalar and spec.group_cols:
@@ -362,9 +402,10 @@ def run_query(
     strategy = "scan" if scalar else config.strategy
 
     delta_group = config.delta / max(1, G)
-    round_blocks = max(1, math.ceil(config.round_rows / scramble.block_size))
+    round_blocks = math.ceil(config.round_rows / scramble.block_size)
     scan = _Scan(
-        scramble, prep, eligible, config.start_block, STRATEGY_BATCH[strategy]
+        scramble, prep, eligible, config.start_block, STRATEGY_BATCH[strategy],
+        count_only=kind == "count",
     )
     m, tot = scan.m, scan.tot  # folded in place each round
     # AVG intervals start from the column range; COUNT/SUM from no bound.
@@ -420,6 +461,7 @@ def run_query(
         wall_seconds=wall,
         index_probes=scan.picker.probes,
         exhausted_all=exhausted_all,
+        crossings=inter.crossings,
     )
 
 
@@ -429,7 +471,7 @@ def _run_exact(scramble, spec, config, prep, eligible) -> QueryResult:
     R, G = scramble.n_rows, len(prep.groups)
     in_blocks = np.repeat(eligible, scramble.block_size)[:R]
     rows = in_blocks & prep.rows
-    g = prep.gid[rows]
+    g = prep.gid[rows] if G > 1 else np.zeros(np.count_nonzero(rows), np.int64)
     m = np.bincount(g, minlength=G).astype(np.float64)
     tot = np.bincount(g, weights=prep.values[rows], minlength=G)
     est = _estimate(spec.result_kind, m, tot, R, R, True, np.nan)
@@ -442,6 +484,7 @@ def _run_exact(scramble, spec, config, prep, eligible) -> QueryResult:
         wall_seconds=wall,
         index_probes=0,
         exhausted_all=True,
+        crossings=0,
     )
 
 

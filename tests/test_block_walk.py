@@ -11,7 +11,9 @@ equal to the number of active groups in each block, and ``_Scan.fetch``
 ``remaining`` equal to each group's number of blocks still to fetch.
 The group matrix is block-major, ``[n_blocks, n_groups]``, as the
 engine's. Each fetch must fold exactly the picked blocks' rows, in pick
-order, a short last block included.
+order, a short last block included, and give the bytes of the
+``bincount``/``ufunc.at`` fold whether the view has many groups, one, or
+is a COUNT.
 """
 from __future__ import annotations
 
@@ -171,41 +173,74 @@ def test_walk_matches_reference_loop(seed, batch, grouped):
 @pytest.mark.parametrize("seed", range(20))
 def test_fold_reads_picked_rows_in_pick_order(seed):
     """Each fetch folds the rows of the blocks it picked, block by block in
-    pick order, byte for byte as a gather by row index; the last block is
-    short and always eligible."""
+    pick order, byte for byte as ``bincount`` and ``ufunc.at`` over a
+    gather by row index: with many groups, with one (no ``gid``) and, for
+    COUNT, ``m`` alone. Values include -0.0 and +0.0, whole blocks of them
+    in places. ``masked``: a predicate and a short last block, always
+    eligible; the predicate drops whole blocks, and the first round keeps
+    no row. Else there is no mask, and a COUNT fold counts blocks."""
+    for masked in (True, False):
+        for fold in ("groups", "one", "count"):
+            _check_fold(seed, masked, fold)
+
+
+def _check_fold(seed, masked, fold):
     rng, n, G, gmatrix, eligible, start = _case(seed)
+    if fold != "groups":
+        G, gmatrix = 1, np.ones((n, 1), dtype=bool)
     bs = int(rng.integers(2, 10))
-    R = n * bs - int(rng.integers(1, bs))
+    R = n * bs - int(rng.integers(1, bs)) if masked else n * bs
     eligible[-1] = True
+    block = np.arange(R) // bs
+    rows = np.ones(R, dtype=bool)
+    if masked:
+        rows = (rng.random(R) < 0.7) & (rng.random(n) < 0.6)[block]
+        first = next(b for b in np.r_[start:n, 0:start] if eligible[b])
+        rows[block == first] = False
+    # One sign per block, or one for all, so that zeros tie for a round's
+    # min or max.
+    sign = rng.choice([-1.0, 1.0], n if rng.random() < 0.5 else 1)
+    values = np.abs(rng.normal(size=R)) * sign[block % sign.size]
+    zeros = (rng.random(R) < 0.2) | (rng.random(n) < 0.3)[block]
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    gid = rng.integers(0, G, R)
     prep = SimpleNamespace(
         groups=[()] * G,
         gmatrix=gmatrix,
-        rows=rng.random(R) < 0.7,
-        gid=rng.integers(0, G, R),
-        values=rng.normal(size=R),
+        rows=rows,
+        gid=gid if fold == "groups" else None,
+        values=values,
     )
     scramble = SimpleNamespace(n_blocks=n, n_rows=R, block_size=bs)
-    scan = _Scan(scramble, prep, eligible, start, LOOKAHEAD_BLOCKS)
+    scan = _Scan(
+        scramble, prep, eligible, start, LOOKAHEAD_BLOCKS, count_only=fold == "count"
+    )
     m, tot, sq = np.zeros(G), np.zeros(G), np.zeros(G)
     mn, mx = np.full(G, np.inf), np.full(G, -np.inf)
     scanned = 0
+    k, first = 1, True
     while True:
-        picked = scan.fetch(int(rng.integers(1, 200)))
+        picked = scan.fetch(k)
         if picked.size == 0:
             break
         rows = (picked[:, None] * bs + np.arange(bs)).ravel()
         rows = rows[rows < R]
         scanned += rows.size
         rows = rows[prep.rows[rows]]
-        g, v = prep.gid[rows], prep.values[rows]
+        g, v = gid[rows], values[rows]
         m += np.bincount(g, minlength=G)
-        tot += np.bincount(g, weights=v, minlength=G)
-        sq += np.bincount(g, weights=v * v, minlength=G)
-        np.minimum.at(mn, g, v)
-        np.maximum.at(mx, g, v)
+        if fold != "count":
+            tot += np.bincount(g, weights=v, minlength=G)
+            sq += np.bincount(g, weights=v * v, minlength=G)
+            np.minimum.at(mn, g, v)
+            np.maximum.at(mx, g, v)
+        if masked and first:
+            assert not m.any()  # so +0.0, inf and -inf stay as they were
         got = (scan.m, scan.tot, scan.sq, scan.mn, scan.mx)
         for a, b in zip((m, tot, sq, mn, mx), got):
             assert a.tobytes() == b.tobytes()
         assert scan.rows_scanned == scanned
+        k = 1 if rng.random() < 0.3 else int(rng.integers(1, 200))
+        first = False
     assert not scan.todo.any()
     assert scanned == R - bs * int(np.count_nonzero(~eligible))

@@ -77,6 +77,13 @@ def test_invalid_agg_rejected(scramble):
         run_count_sum(scramble, _spec(), "AVG")
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("target", ["rel_eps", "abs_eps"])
+def test_nonpositive_width_target_rejected(scramble, target, eps):
+    with pytest.raises(ValueError):
+        run_count_sum(scramble, _spec(), "COUNT", **{target: eps})
+
+
 def test_grouped_spec_rejected(scramble):
     spec = Q.QuerySpec(
         name="g", stopping=Q.RelWidth(0.1), group_cols=("Airline",)

@@ -262,6 +262,10 @@ def test_unknown_strategy_raises(scramble, monkeypatch):
         cfg = _cfg(bounder=bounder, strategy=strategy, delta=delta)
         with pytest.raises(ValueError):
             run_query(scramble, Q.fq9(), cfg)
+    # A round reads at least one row.
+    for round_rows in (0, -40_000):
+        with pytest.raises(ValueError):
+            run_query(scramble, Q.fq9(), _cfg(round_rows=round_rows))
     with pytest.raises(ValueError):
         run_count_sum(scramble, Q.fq1(), "SUM", delta=10.0)
 
@@ -271,6 +275,7 @@ def test_fq4_decision_value(scramble, flights_pdf):
     res = run_query(scramble, spec, _cfg(bounder="bernstein", range_trim=True))
     exact = int(flights_pdf[flights_pdf.Origin == "ORD"].DepDelay.mean() > 10)
     assert res.decision == exact
+    assert res.crossings == 0  # a < delta event
 
 
 # --- the column store ------------------------------------------------------

@@ -27,6 +27,7 @@ def _fake_result(spec, decision, lo=0.0, hi=0.0):
         wall_seconds=0.0,
         index_probes=0,
         exhausted_all=False,
+        crossings=0,
     )
 
 

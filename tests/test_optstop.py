@@ -47,6 +47,20 @@ def test_running_intersection_conflict_degrades_gracefully():
     ri.update(np.array([0.0]), np.array([40.0]))  # disjoint: < delta event
     assert ri.lo[0] == ri.hi[0]  # degenerate midpoint, no crash
     assert 0.0 <= ri.lo[0] <= 100.0
+    assert ri.crossings == 1
+
+
+def test_running_intersection_counts_crossed_groups():
+    ri = RunningIntersection(3, a=0.0, b=100.0)
+    ri.update(np.array([10.0, 60.0, 70.0]), np.array([50.0, 90.0, 95.0]))
+    assert ri.crossings == 0
+    # Groups 1 and 2 miss their running intervals; group 0 does not.
+    ri.update(np.array([20.0, 0.0, 96.0]), np.array([40.0, 40.0, 99.0]))
+    assert ri.crossings == 2
+    assert ri.lo.tolist() == [20.0, 50.0, 95.5] and ri.hi.tolist() == [40.0, 50.0, 95.5]
+    # A collapsed interval that the next round misses crosses again.
+    ri.update(np.array([0.0, 0.0, 0.0]), np.array([100.0, 45.0, 100.0]))
+    assert ri.crossings == 3
 
 
 def test_sequential_coverage_monte_carlo():
