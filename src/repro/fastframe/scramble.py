@@ -11,9 +11,9 @@ window ``row_number`` for positions, and integer division for block
 ids. One Arrow collect then copies the rows to the driver as a
 :class:`ColumnStore`, the in-memory column store the paper's FastFrame
 reads block by block: block ``b`` is rows ``[b*block_size,
-(b+1)*block_size)`` of every column. Queries, bitmaps and group domains
-are computed from the store in NumPy; the Spark DataFrame stays for the
-ground truth and the exact baselines.
+(b+1)*block_size)`` of every column. The catalog, queries, bitmaps and
+group domains are computed from the store in NumPy; the Spark DataFrame
+stays for the ground truth and the exact baselines.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ DEFAULT_BLOCK_SIZE = 25  # paper §4.3: "we set the block size to 25 rows"
 class ColumnStore:
     """The scramble's columns on the driver, in ``row_id`` order.
 
-    Numeric columns hold their values; string columns hold int codes
-    into ``values[column]``, the column's sorted distinct values.
+    Numeric columns hold their values; string columns hold ``intp``
+    codes into ``values[column]``, the column's sorted distinct values.
     """
 
     columns: Dict[str, np.ndarray]
@@ -82,8 +82,12 @@ def build_store(df: DataFrame) -> ColumnStore:
         if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
             distinct = pc.unique(col).sort()
             values[name] = distinct.to_pylist()
-            col = pc.index_in(col, value_set=distinct)
-        columns[name] = col.to_numpy()[order]
+            # Arrow's int32 codes, as intp once: bitmaps, bincount and
+            # ufunc.at index with them without a cast.
+            col = pc.index_in(col, value_set=distinct).to_numpy().astype(np.intp)
+        else:
+            col = col.to_numpy()
+        columns[name] = col[order]
     return ColumnStore(columns, values)
 
 
@@ -114,11 +118,11 @@ def build_scramble(
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
 ) -> Scramble:
-    """Shuffle ``df`` into a block-addressed scramble (Definition 4)."""
-    catalog = build_catalog(df)
-    n_rows = catalog.n_rows
-    if n_rows == 0:
-        raise ValueError("cannot scramble an empty relation")
+    """Shuffle ``df`` into a block-addressed scramble (Definition 4).
+
+    One Spark pass shuffles and collects the rows; the catalog is then
+    computed from the collected store.
+    """
     # rand(seed) is deterministic per row ordering of the source plan; the
     # row_number window fixes a total order. Ties in rand() are broken
     # arbitrarily but deterministically for a cached source.
@@ -132,12 +136,14 @@ def build_scramble(
         )
         .persist()
     )
+    store = build_store(scrambled)  # also fills the DataFrame's cache
+    catalog = build_catalog(store)
     return Scramble(
         df=scrambled,
-        store=build_store(scrambled),  # also fills the DataFrame's cache
-        n_rows=n_rows,
+        store=store,
+        n_rows=catalog.n_rows,
         block_size=block_size,
-        n_blocks=math.ceil(n_rows / block_size),
+        n_blocks=math.ceil(catalog.n_rows / block_size),
         catalog=catalog,
         seed=seed,
     )

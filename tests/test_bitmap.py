@@ -2,14 +2,21 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.stopping import Ordered
 from repro.fastframe.bitmap import (
+    _presence,
     build_column_bitmap,
     get_column_bitmap,
     group_bitmap_matrix,
     group_domain,
 )
+from repro.fastframe.catalog import build_catalog
+from repro.fastframe.engine import EngineConfig, run_query
+from repro.fastframe.queries import QuerySpec
+from repro.fastframe.scramble import ColumnStore, Scramble
 
 
 def test_column_bitmap_matches_direct(scramble, flights_pdf):
@@ -89,3 +96,91 @@ def test_matrix_shapes(scramble):
     assert matrix.dtype == bool
     # Block-major: a block's groups are one contiguous row.
     assert matrix.flags.c_contiguous
+
+
+def _numpy_scramble(pdf: pd.DataFrame, block_size: int) -> Scramble:
+    """A scramble of ``pdf``'s rows in their order, built without Spark."""
+    columns, values = {}, {}
+    for name in pdf.columns:
+        col = pdf[name].to_numpy()
+        if col.dtype == object:
+            uniq, col = np.unique(col, return_inverse=True)
+            values[name] = uniq.tolist()
+        columns[name] = col
+    store = ColumnStore(columns, values)
+    n = len(pdf)
+    return Scramble(
+        df=None,
+        store=store,
+        n_rows=n,
+        block_size=block_size,
+        n_blocks=-(-n // block_size),
+        catalog=build_catalog(store),
+        seed=0,
+    )
+
+
+def _sparse_pairs(n=203, seed=5):
+    """Rows where only some (DayOfWeek, Origin) pairs occur."""
+    rng = np.random.default_rng(seed)
+    day = rng.integers(1, 8, n)
+    # Each day sees only two of five airports.
+    origin = np.array(["AAA", "BBB", "CCC", "DDD", "EEE"])[
+        (day + rng.integers(0, 2, n) * 2) % 5
+    ]
+    return pd.DataFrame(
+        {"DayOfWeek": day, "Origin": origin, "DepDelay": rng.normal(0, 9, n)}
+    )
+
+
+def test_pair_domain_with_absent_pairs():
+    """Key pairs that never occur get no group, and rows map to their pair."""
+    pdf = _sparse_pairs()
+    sc = _numpy_scramble(pdf, block_size=10)
+    groups, gid, matrix = group_bitmap_matrix(sc, ("DayOfWeek", "Origin"))
+    pairs = pdf[["DayOfWeek", "Origin"]].drop_duplicates()
+    expected = sorted(pairs.itertuples(index=False, name=None))
+    assert len(expected) < 7 * 5  # some pairs are absent
+    assert groups == expected
+    rows = list(pdf[["DayOfWeek", "Origin"]].itertuples(index=False, name=None))
+    assert [groups[i] for i in gid] == rows
+    assert gid.dtype == np.intp
+    want = np.zeros((sc.n_blocks, len(groups)), dtype=bool)
+    want[np.arange(len(pdf)) // 10, gid] = True
+    assert np.array_equal(matrix, want)
+
+
+def test_pair_groupby_with_absent_pairs_is_exact():
+    """F-q6's GROUP BY through the engine on a sparse key domain."""
+    pdf = _sparse_pairs()
+    sc = _numpy_scramble(pdf, block_size=10)
+    spec = QuerySpec(
+        name="pairs",
+        stopping=Ordered(),
+        group_cols=("DayOfWeek", "Origin"),
+        result_kind="ordered",
+    )
+    want = pdf.groupby(["DayOfWeek", "Origin"]).DepDelay.agg(["mean", "size"])
+    for config in (
+        EngineConfig(bounder="exact", strategy="scan"),
+        EngineConfig(strategy="active_peek", round_rows=20, start_block=7),
+    ):
+        res = run_query(sc, spec, config)
+        assert res.groups == list(want.index)
+        assert np.allclose(res.est, want["mean"].to_numpy(), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(res.m, want["size"].to_numpy())
+
+
+@pytest.mark.parametrize("n_rows", [200, 203, 209])
+def test_presence_short_last_block(n_rows):
+    """The last block's rows, whole or short, mark its row of the matrix."""
+    rng = np.random.default_rng(n_rows)
+    codes = rng.integers(0, 5, n_rows).astype(np.intp)
+    codes[-1] = 5  # a code only the last row holds
+    sc = _numpy_scramble(pd.DataFrame({"x": np.zeros(n_rows)}), block_size=10)
+    matrix = _presence(sc, codes, 6)
+    want = np.zeros((sc.n_blocks, 6), dtype=bool)
+    want[np.arange(n_rows) // 10, codes] = True
+    assert matrix.shape == (-(-n_rows // 10), 6)
+    assert np.array_equal(matrix, want)
+    assert np.flatnonzero(matrix[:, 5]).tolist() == [sc.n_blocks - 1]

@@ -1,11 +1,11 @@
-"""Layering guards: the CI formulas and Table 2 need no Spark, and the
-scan engine holds the only round loop.
+"""Layering guards: the CI formulas, the catalog and Table 2 need no
+Spark, and the scan engine holds the only round loop.
 
-Every ``repro.core`` module, and the Table 2 harness built on them, must
-import in an interpreter where ``pyspark`` cannot be imported. Spark
-stays in charge of data generation, the scramble, the catalog and
-ground truth; a Catalyst copy of the interval formulas in ``repro.core``
-would fail here.
+Every ``repro.core`` module, the catalog (computed from the collected
+column store) and the Table 2 harness must import in an interpreter
+where ``pyspark`` cannot be imported. Spark stays in charge of data
+generation, the scramble and ground truth; a Catalyst copy of the
+interval formulas in ``repro.core`` would fail here.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def test_core_imports_without_pyspark():
         f"repro.core.{m.name}" for m in pkgutil.iter_modules(repro.core.__path__)
     ]
     assert len(modules) > 5
-    modules.append("repro.experiments.table2")
+    modules += ["repro.fastframe.catalog", "repro.experiments.table2"]
     code = "\n".join(
         ["import sys", "sys.modules['pyspark'] = None"]
         + [f"import {name}" for name in modules]
