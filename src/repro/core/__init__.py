@@ -5,6 +5,5 @@ without-replacement samples (Hoeffding-Serfling, empirical
 Bernstein-Serfling, Anderson/DKW), the RangeTrim meta-algorithm that
 removes phantom outlier sensitivity (PHOS), the OptStop optional
 stopping schedule, unknown-N machinery (selectivity CIs, N+ upper
-bound, COUNT/SUM CIs), stopping conditions and active-group rules, and
-derived range bounds for arbitrary expressions.
+bound, COUNT/SUM CIs), and stopping conditions and active-group rules.
 """

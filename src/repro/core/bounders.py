@@ -50,9 +50,6 @@ def _check(a: float, b: float, N: int, delta: float) -> None:
 class Bounder:
     """Base class: the Section 2.2.2 interface plus the CI helper."""
 
-    #: whether state grows with the number of tuples seen (paper Table 2)
-    constant_memory: bool = True
-
     def init_state(self):
         raise NotImplementedError
 
@@ -176,7 +173,6 @@ class AndersonDKW(Bounder):
     """
 
     name = "anderson"
-    constant_memory = False
 
     def init_state(self) -> List[float]:
         return []
@@ -214,10 +210,3 @@ class AndersonDKW(Bounder):
         trimmed_mean = sum(state[-keep:]) / keep
         return min(b, max(a, eps * b + (1.0 - eps) * trimmed_mean))
 
-
-#: registry used by the engine / experiment harnesses
-BOUNDERS = {
-    "hoeffding": HoeffdingSerfling,
-    "bernstein": EmpiricalBernsteinSerfling,
-    "anderson": AndersonDKW,
-}

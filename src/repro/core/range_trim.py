@@ -62,7 +62,6 @@ class RangeTrim(Bounder):
     def __init__(self, inner: Bounder):
         self.inner = inner
         self.name = f"{inner.name}+rt"
-        self.constant_memory = inner.constant_memory
 
     def init_state(self) -> RangeTrimState:
         return RangeTrimState(

@@ -123,12 +123,18 @@ def build_scramble(
     One Spark pass shuffles and collects the rows; the catalog is then
     computed from the collected store.
     """
-    # rand(seed) is deterministic per row ordering of the source plan; the
-    # row_number window fixes a total order. Ties in rand() are broken
-    # arbitrarily but deterministically for a cached source.
+    # rand(seed) is seeded per partition, so the rows are first merged in
+    # order into one partition: the scramble then depends on the rows and
+    # the seed alone, not on how the source is split. The shuffle after
+    # rand() keeps the source's partitions (which hold the rows of a
+    # DataFrame made from pandas) out of the tasks of every later query on
+    # the cached scramble. The row_number window fixes a total order; ties
+    # in rand() are broken arbitrarily but deterministically.
     w = Window.orderBy(F.col("_shuffle_key"))
     scrambled = (
-        df.withColumn("_shuffle_key", F.rand(seed))
+        df.coalesce(1)
+        .withColumn("_shuffle_key", F.rand(seed))
+        .repartition(1)
         .withColumn("row_id", F.row_number().over(w) - F.lit(1))
         .drop("_shuffle_key")
         .withColumn(

@@ -23,7 +23,6 @@ def test_state_grows_with_m():
     """Paper Table 2: Anderson/DKW needs O(m) memory."""
     s = _state(np.arange(500))
     assert isinstance(s, list) and len(s) == 500
-    assert not AD.constant_memory
 
 
 def test_epsilon_closed_form():

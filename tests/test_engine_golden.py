@@ -8,10 +8,7 @@ tier-1 data (SF 0.005, data seed 7, scramble seed 8), round_rows 2 000:
 * COUNT and SUM on the five distinct F-query views without GROUP BY ×
   ``rel_eps`` {0.05, None} through ``run_count_sum``.
 
-The scramble is built from the data in one partition. ``F.rand`` is
-seeded per partition and ``createDataFrame`` splits the data by the
-number of local cores, so the tier-1 fixture's own scramble differs
-between ``local[1]``, ``local[2]`` and ``local[4]``; this one does not.
+The runs use the shared tier-1 ``scramble`` fixture.
 
 A run stores every ``QueryResult`` (or ``ScalarResult``) field except
 ``wall_seconds``; its float arrays are stored as the sha256 of their
@@ -30,13 +27,10 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, run_query
 from repro.fastframe.queries import ALL_QUERIES
-from repro.fastframe.scramble import build_scramble
-from tests.conftest import TEST_SEED
 
 GOLDEN = Path(__file__).parent / "data" / "engine_golden.json"
 ROUND_ROWS = 2_000
@@ -73,11 +67,6 @@ def _plain(x):
     if isinstance(x, np.generic):
         return x.item()
     return x
-
-
-def one_partition_scramble(df):
-    """The scramble of ``df``, whatever the number of local cores."""
-    return build_scramble(df.coalesce(1), seed=TEST_SEED + 1)
 
 
 def _views():
@@ -121,16 +110,9 @@ def golden_runs(scramble):
                 yield f"{name} {agg} rel_eps={rel_eps}", _plain(out)
 
 
-@pytest.fixture(scope="module")
-def golden_scramble(flights_df):
-    sc = one_partition_scramble(flights_df)
-    yield sc
-    sc.df.unpersist()
-
-
-def test_engine_matches_golden(golden_scramble):
+def test_engine_matches_golden(scramble):
     golden = json.loads(GOLDEN.read_text())
-    runs = list(golden_runs(golden_scramble))
+    runs = list(golden_runs(scramble))
     assert [run for run, _ in runs] == list(golden), "the set of runs changed"
     for run, got in runs:
         want = golden[run]
@@ -143,8 +125,9 @@ def test_engine_matches_golden(golden_scramble):
 def _main():
     from pyspark.sql import SparkSession
 
+    from repro.fastframe.scramble import build_scramble
     from repro.synth_data import flights
-    from tests.conftest import TEST_SF
+    from tests.conftest import TEST_SEED, TEST_SF
 
     spark = (
         SparkSession.builder.master("local[2]")
@@ -154,7 +137,8 @@ def _main():
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-    scramble = one_partition_scramble(flights(spark, sf=TEST_SF, seed=TEST_SEED))
+    df = flights(spark, sf=TEST_SF, seed=TEST_SEED)
+    scramble = build_scramble(df, seed=TEST_SEED + 1)
     golden = dict(golden_runs(scramble))
     spark.stop()
     GOLDEN.parent.mkdir(exist_ok=True)

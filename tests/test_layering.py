@@ -1,5 +1,6 @@
 """Layering guards: the CI formulas, the catalog and Table 2 need no
-Spark, and the scan engine holds the only round loop.
+Spark, the scan engine holds the only round loop, and every module has
+a caller outside the tests.
 
 Every ``repro.core`` module, the catalog (computed from the collected
 column store) and the Table 2 harness must import in an interpreter
@@ -9,6 +10,7 @@ interval formulas in ``repro.core`` would fail here.
 """
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import pkgutil
@@ -48,3 +50,28 @@ def test_one_round_loop_in_fastframe():
     pkg = pathlib.Path(repro.fastframe.__file__).parent
     users = {p.name for p in pkg.glob("*.py") if loop_names.search(p.read_text())}
     assert users == {"engine.py"}
+
+
+def test_every_module_has_a_caller_outside_tests():
+    """Each ``repro`` module is imported by ``src/``, ``jobs/`` or
+    ``perfbench/``; test files do not count. ``repro.oracle`` is exempt:
+    it is the tests' DuckDB reference."""
+    root = pathlib.Path(repro.__file__).parents[2]
+    imported = set()
+    for top in ("src", "jobs", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add(node.module)
+                    imported.update(f"{node.module}.{a.name}" for a in node.names)
+    modules = {
+        m.name
+        for m in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not m.ispkg
+    }
+    assert "repro.core.vectorized" in modules
+    assert modules - imported == {"repro.oracle"}

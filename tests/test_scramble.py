@@ -56,6 +56,23 @@ def test_scramble_deterministic_in_seed(flights_df):
     s2.df.unpersist()
 
 
+def test_scramble_independent_of_source_partitions(spark):
+    """The same rows in the same order give the same scramble, whether
+    the source holds them in one partition or split over three."""
+    rows = [(float(i), "abc"[i % 3]) for i in range(300)]
+
+    def store(n_partitions):
+        rdd = spark.sparkContext.parallelize(rows, n_partitions)
+        sc = build_scramble(spark.createDataFrame(rdd, "x double, s string"), seed=5)
+        sc.df.unpersist()
+        return sc.store
+
+    one, three = store(1), store(3)
+    assert one.values == three.values
+    for name, col in one.columns.items():
+        assert np.array_equal(col, three.columns[name]), name
+
+
 def test_rows_per_block_accounts_for_partial_tail(scramble):
     rpb = scramble.rows_per_block
     assert rpb.sum() == scramble.n_rows

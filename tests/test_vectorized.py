@@ -2,12 +2,16 @@
 
 Plain CIs are compared with the scalar ``Bounder.ci``; range-trimmed CIs
 with the paper's streaming Algorithm 6 (``RangeTrim(inner).ci``) run
-over the same values.
+over the same values. A scramble prefix is a without-replacement sample
+of every group, so the range-trimmed CI of each group's prefix
+statistics must also contain the group's true AVG.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import vectorized as V
 from repro.core.bounders import EmpiricalBernsteinSerfling, HoeffdingSerfling
@@ -130,3 +134,48 @@ def test_bounds_always_within_range():
                 kind, s.m, s.total, s.total_sq, s.vmin, s.vmax, A, B, 60, 0.5, rt
             )
             assert A <= float(lo) <= float(hi) <= B
+
+
+@pytest.fixture(scope="module")
+def prefix(scramble):
+    return (
+        scramble.df.filter(F.col("row_id") < 8000)
+        .select("Airline", "DepDelay")
+        .toPandas()
+    )
+
+
+def _prefix_ci(values: pd.Series, airline: pd.Series, kind, a, b, N, delta):
+    """Range-trimmed (1-delta) CI per airline from a pandas groupby."""
+    g = values.groupby(airline)
+    stats = g.agg(["count", "sum", "min", "max"])
+    stats["sq"] = (values**2).groupby(airline).sum()
+    lo, hi = V.ci(
+        kind,
+        stats["count"].to_numpy(float),
+        stats["sum"].to_numpy(),
+        stats["sq"].to_numpy(),
+        stats["min"].to_numpy(),
+        stats["max"].to_numpy(),
+        a,
+        b,
+        N,
+        delta,
+        True,
+    )
+    return pd.DataFrame({"ci_lo": lo, "ci_hi": hi}, index=stats.index)
+
+
+@pytest.mark.parametrize("bounder", ["hoeffding", "bernstein"])
+def test_intervals_cover_true_group_means(scramble, prefix, flights_pdf, bounder):
+    """With delta=1e-9 every group CI must contain the true group AVG."""
+    a, b = scramble.catalog.bounds("DepDelay")
+    true_sizes = flights_pdf.groupby("Airline").DepDelay.count()
+    out = _prefix_ci(
+        prefix.DepDelay, prefix.Airline, bounder, a, b, int(true_sizes.max()), 1e-9
+    )
+    assert len(out) > 1
+    for airline, mu in flights_pdf.groupby("Airline").DepDelay.mean().items():
+        if airline in out.index:
+            row = out.loc[airline]
+            assert row.ci_lo - 1e-9 <= mu <= row.ci_hi + 1e-9
