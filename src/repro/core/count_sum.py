@@ -35,18 +35,24 @@ import numpy as np
 ALPHA = 0.99
 
 
-def selectivity_eps(r, R, delta):
-    """Lemma 5 half-width for the selectivity after scanning r of R rows."""
-    r = np.asarray(r, dtype=np.float64)
-    rho = np.maximum(0.0, 1.0 - (r - 1.0) / R)
-    return np.sqrt(np.log(2.0 / delta) / (2.0 * r) * rho)
+def selectivity_eps(r, R, delta) -> float:
+    """Lemma 5 half-width for the selectivity after scanning r >= 1 of R rows.
+
+    ``r``, ``R`` and ``delta`` are scalars, so the half-width is one
+    Python float, computed without a NumPy call on a size-1 array. The
+    log is ``np.log``: ``math.log`` can differ in the last bit, and the
+    engine's intervals are pinned byte for byte.
+    """
+    r = float(r)
+    rho = max(0.0, 1.0 - (r - 1.0) / R)
+    return math.sqrt(float(np.log(2.0 / delta)) / (2.0 * r) * rho)
 
 
 def selectivity_ci(m_v, r, R, delta) -> Tuple[np.ndarray, np.ndarray]:
     """(1-delta) CI for the selectivity of a view, clipped to [0, 1]."""
     m_v = np.asarray(m_v, dtype=np.float64)
     eps = selectivity_eps(r, R, delta)
-    sel = m_v / np.maximum(1.0, np.asarray(r, dtype=np.float64))
+    sel = m_v / max(1.0, float(r))
     # As np.clip, with less overhead per call.
     lo = np.minimum(np.maximum(sel - eps, 0.0), 1.0)
     return lo, np.minimum(np.maximum(sel + eps, 0.0), 1.0)
@@ -64,15 +70,13 @@ def n_plus(m_v, r, R, delta, alpha: float = ALPHA):
     One-sided (upper deviations only), so the Lemma-5 ``log(2/delta)``
     becomes ``log(1/((1-alpha)*delta))`` as in the theorem statement.
     Capped at R (a view can never exceed the scramble) and floored at 1
-    so it is always a legal dataset size for the bounders.
+    so it is always a legal dataset size for the bounders. ``r`` is a
+    scalar: the half-width is one Python float, as in ``selectivity_eps``.
     """
-    r_arr = np.asarray(r, dtype=np.float64)
-    m_v = np.asarray(m_v, dtype=np.float64)
-    rho = np.maximum(0.0, 1.0 - (r_arr - 1.0) / R)
-    eps = np.sqrt(
-        math.log(1.0 / ((1.0 - alpha) * delta)) / (2.0 * np.maximum(1.0, r_arr)) * rho
-    )
-    est = (m_v / np.maximum(1.0, r_arr) + eps) * R
+    rho = max(0.0, 1.0 - (float(r) - 1.0) / R)
+    r = max(1.0, float(r))
+    eps = math.sqrt(math.log(1.0 / ((1.0 - alpha) * delta)) / (2.0 * r) * rho)
+    est = (np.asarray(m_v, dtype=np.float64) / r + eps) * R
     return np.minimum(np.maximum(np.ceil(est), 1.0), float(R))
 
 
@@ -87,7 +91,7 @@ def sum_ci(avg_lo, avg_hi, cnt_lo, cnt_hi) -> Tuple[np.ndarray, np.ndarray]:
     avg_lo, avg_hi, cnt_lo, cnt_hi = (
         np.asarray(x, dtype=np.float64) for x in (avg_lo, avg_hi, cnt_lo, cnt_hi)
     )
-    prods = np.stack(
-        [avg_lo * cnt_lo, avg_lo * cnt_hi, avg_hi * cnt_lo, avg_hi * cnt_hi]
-    )
-    return prods.min(axis=0), prods.max(axis=0)
+    p = avg_lo * cnt_lo, avg_lo * cnt_hi, avg_hi * cnt_lo, avg_hi * cnt_hi
+    # Left to right: the order decides which of a tied -0.0 and +0.0 is kept.
+    lo = np.minimum(np.minimum(np.minimum(p[0], p[1]), p[2]), p[3])
+    return lo, np.maximum(np.maximum(np.maximum(p[0], p[1]), p[2]), p[3])

@@ -41,18 +41,18 @@ class RunningIntersection:
         self.crossings = 0
 
     def update(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Fold round-k intervals in: lo = max(lo, L_k), hi = min(hi, R_k).
+        """Fold round-k intervals in, in place: lo = max(lo, L_k), hi = min(hi, R_k).
 
         An empty intersection is a probability-<delta event (some round's
         interval missed the truth); it collapses to the midpoint as a
         degenerate interval rather than crash, and ``crossings`` counts
         the groups it happened to.
         """
-        self.lo = np.maximum(self.lo, lo)
-        self.hi = np.minimum(self.hi, hi)
+        np.maximum(self.lo, lo, out=self.lo)
+        np.minimum(self.hi, hi, out=self.hi)
         crossed = self.lo > self.hi
-        if np.any(crossed):  # < delta probability; degrade gracefully
+        if crossed.any():  # < delta probability; degrade gracefully
             self.crossings += int(np.count_nonzero(crossed))
             mid = 0.5 * (self.lo + self.hi)
-            self.lo = np.where(crossed, mid, self.lo)
-            self.hi = np.where(crossed, mid, self.hi)
+            np.copyto(self.lo, mid, where=crossed)
+            np.copyto(self.hi, mid, where=crossed)

@@ -84,8 +84,11 @@ def ci(kind, m, total, total_sq, vmin, vmax, a, b, N, delta, range_trim):
     ):
         xs = np.broadcast_arrays(*_as_arrays(*xs))
     m, total, total_sq, vmin, vmax, N = xs
+    # Most calls have no empty group (and no single-sample one): the
+    # ``np.where``s that patch those groups are then skipped.
     empty = m < 0.5
-    m_safe = np.where(empty, _EMPTY_GUARD, m)
+    any_empty = empty.any()
+    m_safe = np.where(empty, _EMPTY_GUARD, m) if any_empty else m
     d_side = delta / 2.0
 
     if not range_trim:
@@ -106,12 +109,14 @@ def ci(kind, m, total, total_sq, vmin, vmax, a, b, N, delta, range_trim):
         sq_r = np.maximum(0.0, total_sq - vmin**2)
         eps_r = _one_sided(kind, m_t, tot_r, sq_r, vmin, b, N_t, d_side)
         hi = tot_r / m_t + eps_r
-        lo = np.where(single, a, lo)
-        hi = np.where(single, b, hi)
+        if single.any():  # empty groups included
+            lo = np.where(single, a, lo)
+            hi = np.where(single, b, hi)
 
     # As np.clip, bytes included (NaN and signed zeros), with less overhead.
     lo = np.minimum(np.maximum(lo, a), b)
     hi = np.minimum(np.maximum(hi, a), b)
-    lo = np.where(empty, a, lo)
-    hi = np.where(empty, b, hi)
+    if any_empty:
+        lo = np.where(empty, a, lo)
+        hi = np.where(empty, b, hi)
     return lo, hi

@@ -14,7 +14,9 @@ modelled index probe covers (1 for ``active_sync``, the paper's
 1024-block lookahead for ``active_peek``). It sets the walk's frontier
 and ``index_probes``: the (active group x candidate block) cells of the
 batches walked. The paper's Sync/Peek gap, the latency of synchronous
-probe calls, is not modelled.
+probe calls, is not modelled. When Scan has no block to skip (the next
+``k + 1`` blocks are all still to fetch, as for COUNT/SUM, which read
+every block), it takes the next ``k`` blocks without a walk.
 
 AVG, COUNT and SUM (result kinds ``count`` and ``sum``, paper §4.1) run
 through this one loop and differ only in each round's interval:
@@ -41,10 +43,17 @@ per-group statistics, and updates its per-group and per-block counts
 from the fetched blocks' bitmap rows and the flipped groups' columns.
 The fold does only the work its view needs: ``bincount`` and
 ``ufunc.at`` for many groups, whole-array reductions for one (no
-per-row group ids), and for COUNT the row count alone.
+per-row group ids), and for COUNT the row count alone. A one-group
+view is in every block, so its count of blocks still to fetch is
+arithmetic: the eligible blocks less those fetched.
 After the first round, so, the work of a round is proportional to the
 blocks it fetches — the cost structure of the paper's in-memory
-engine. ``wall_seconds`` times the round loop (or the exact
+engine — plus a fixed cost for the round's interval and stopping
+check. That fixed cost is kept small: the interval's scalar terms
+(the half-widths of ``N+`` and of the COUNT CI, ``r``, ``R`` and the
+round's budget) are Python floats, the running intersection is updated
+in place, and the glue for exhausted views runs only in rounds that
+have one. ``wall_seconds`` times the round loop (or the exact
 ``bincount``).
 
 Confidence budget chain (all documented in DESIGN.md): per-query
@@ -210,6 +219,11 @@ class _BlockPicker:
 
     def pick(self, todo, k_blocks, live=None, n_active=0):
         w = self.order[self.frontier : self.frontier + self.n]
+        if live is None and k_blocks < self.n and todo[w[: k_blocks + 1]].all():
+            # No block to skip: the walk takes the first k blocks and, as the
+            # next one is a hit, stops just past the last of them.
+            self.frontier = (self.frontier + k_blocks) % self.n
+            return w[:k_blocks]
         # The k-th hit is mostly near the frontier: read the whole batches
         # that cover 4k blocks first, and the whole window only if they hold
         # fewer than k hits. Whole batches, so the batch end is in the head.
@@ -249,7 +263,9 @@ class _Scan:
     active groups (``live``). Both counts are sums over the block-major
     group matrix, read as ``uint8``: after the first round, a round reads
     only the rows of the blocks it fetches and the columns of the groups
-    whose active bit flipped.
+    whose active bit flipped. One group's column is all ones (its view is
+    in every block), so its ``remaining`` is the eligible blocks less the
+    blocks fetched, with no read of the matrix.
 
     The fold reads ``gid``, ``values`` and the predicate's row mask as
     ``[n_blocks, block_size]``, one row per block, and gathers the picked
@@ -290,9 +306,13 @@ class _Scan:
         self.sq = np.zeros(G, dtype=np.float64)
         self.mn = np.full(G, np.inf)
         self.mx = np.full(G, -np.inf)
-        # Every block eligible (no Eq predicate): read the matrix as it is.
-        g8 = self.g8 if eligible.all() else self.g8[eligible]
-        self.remaining = _count(g8, axis=0)
+        if G == 1:
+            # The one view is in every block: count the eligible blocks.
+            self.remaining = np.array([np.count_nonzero(eligible)])
+        else:
+            # Every block eligible (no Eq predicate): read the matrix as it is.
+            g8 = self.g8 if eligible.all() else self.g8[eligible]
+            self.remaining = _count(g8, axis=0)
 
     def set_active(self, active) -> None:
         """Update ``live`` from the groups whose active bit flipped."""
@@ -316,7 +336,10 @@ class _Scan:
             return picked
         self.todo[picked] = False
         self.blocks_fetched += int(picked.size)
-        self.remaining -= _count(np.take(self.g8, picked, axis=0), axis=0)
+        if self.remaining.size == 1:
+            self.remaining -= picked.size
+        else:
+            self.remaining -= _count(np.take(self.g8, picked, axis=0), axis=0)
         self.rows_scanned += int(picked.size) * self.block_size
         if self.short and (picked == self.todo.size - 1).any():
             self.rows_scanned -= self.short
@@ -450,23 +473,28 @@ def run_query(
         inter.update(*_round_ci(kind, config, prep, scan, r, R, delta_k))
 
         exhausted = scan.remaining <= 0
-        alive = (m > 0) | scalar
         est = _estimate(kind, m, tot, r, R, exhausted, 0.5 * (prep.a + prep.b))
-        # A fully-read view is known exactly — collapse its interval.
-        done_exact = exhausted & alive
-        lo = np.where(done_exact, est, inter.lo)
-        hi = np.where(done_exact, est, inter.hi)
-
-        # Views that turn out to be empty once their blocks are all read
-        # contribute no output row; they are dropped from the stopping
-        # evaluation entirely (their wide [a, b] intervals would
-        # otherwise block separation-style conditions forever).
-        kept = np.flatnonzero(alive | ~exhausted)
-        verdict = spec.stopping.evaluate(
-            est[kept], lo[kept], hi[kept], m[kept], exhausted[kept]
-        )
-        active = np.zeros(G, dtype=bool)
-        active[kept] = verdict.active
+        lo, hi = inter.lo, inter.hi
+        if exhausted.any():
+            alive = (m > 0) | scalar
+            # A fully-read view is known exactly — collapse its interval.
+            done_exact = exhausted & alive
+            lo = np.where(done_exact, est, lo)
+            hi = np.where(done_exact, est, hi)
+            # Views that turn out to be empty once their blocks are all
+            # read contribute no output row; they are dropped from the
+            # stopping evaluation entirely (their wide [a, b] intervals
+            # would otherwise block separation-style conditions forever).
+            kept = np.flatnonzero(alive | ~exhausted)
+            verdict = spec.stopping.evaluate(
+                est[kept], lo[kept], hi[kept], m[kept], exhausted[kept]
+            )
+            active = np.zeros(G, dtype=bool)
+            active[kept] = verdict.active
+        else:
+            # No view is exhausted: every view is kept, and none collapses.
+            verdict = spec.stopping.evaluate(est, lo, hi, m, exhausted)
+            active = verdict.active
         if verdict.done or exhausted_all:
             exhausted_all = exhausted_all or bool(exhausted.all())
             break
@@ -538,11 +566,14 @@ def _round_ci(kind, config, prep, scan, r, R, delta_k):
 
 
 def _estimate(kind, m, tot, r, R, exhausted, empty):
-    """Each view's estimate after ``r`` of ``R`` rows (AVG of none: ``empty``)."""
-    if kind == "count":
-        return np.where(exhausted, m, m / r * R)
-    if kind == "sum":
-        return np.where(exhausted, tot, tot / r * R)
+    """Each view's estimate after ``r`` of ``R`` rows (AVG of none: ``empty``).
+
+    A COUNT or SUM view read in full (``exhausted``) is its exact value.
+    """
+    if kind in SCALAR_KINDS:
+        x = m if kind == "count" else tot
+        est = x / r * R
+        return np.where(exhausted, x, est) if np.any(exhausted) else est
     return np.where(m > 0, tot / np.maximum(m, 1.0), empty)
 
 

@@ -6,11 +6,14 @@ per lookahead batch. While no group becomes active again, both must
 take the same blocks every round, and the batched walk never probes
 less. The walk must also equal, pick for pick, the per-batch probe loop
 it replaced (``_ReferencePicker``), with groups both leaving and
-re-entering the active set; ``_Scan.set_active`` must keep ``live``
+re-entering the active set, and when every block is eligible, so that
+Scan takes its no-skip pick; ``_Scan.set_active`` must keep ``live``
 equal to the number of active groups in each block, and ``_Scan.fetch``
-``remaining`` equal to each group's number of blocks still to fetch.
-The group matrix is block-major, ``[n_blocks, n_groups]``, as the
-engine's. Each fetch must fold exactly the picked blocks' rows, in pick
+``remaining`` equal to each group's number of blocks still to fetch
+(for one view, which is in every block, the eligible blocks not yet
+fetched). The group matrix is block-major, ``[n_blocks, n_groups]``, as
+the engine's; with one group it is the all-ones column ``prepare``
+builds. Each fetch must fold exactly the picked blocks' rows, in pick
 order, a short last block included, and give the bytes of the
 ``bincount``/``ufunc.at`` fold whether the view has many groups, one, or
 is a COUNT.
@@ -67,6 +70,9 @@ def _case(seed):
     G = int(rng.integers(1, 12))
     # Drawn group-major, so the cases are those of the group-major layout.
     gmatrix = np.ascontiguousarray((rng.random((G, n)) < rng.uniform(0.01, 0.6)).T)
+    if G == 1:
+        # One view: in every block, as ``prepare`` and the bitmaps build it.
+        gmatrix[:] = True
     eligible = rng.random(n) < rng.uniform(0.2, 1.0)
     start = int(rng.integers(0, n))
     return rng, n, G, gmatrix, eligible, start
@@ -145,12 +151,26 @@ def test_walk_picks_every_eligible_block_before_running_dry(seed, batch):
 @pytest.mark.parametrize("seed", range(10))
 def test_walk_matches_reference_loop(seed, batch, grouped):
     rng, n, G, gmatrix, eligible, start = _case(seed)
+    _match_reference(rng, n, G, gmatrix, eligible, start, batch, grouped)
+    # Every block eligible, as for COUNT/SUM: Scan takes the first k blocks
+    # of the window without a walk. The start's window wraps past block
+    # n-1, and the first pick takes one block (then random picks walk the
+    # whole cycle), all blocks but one, all, or asks for more than there are.
+    for k in sorted({1, max(1, n - 1), n, n + 5}):
+        every = np.ones(n, dtype=bool)
+        _match_reference(rng, n, G, gmatrix, every, max(0, n - 2), batch, grouped, k)
+
+
+def _match_reference(rng, n, G, gmatrix, eligible, start, batch, grouped, k=None):
+    """Fetch with a ``_Scan`` and pick with ``_ReferencePicker`` until no
+    block is left, for at most 40 picks: the first takes ``k`` blocks
+    (random if None), the others a random number."""
     ref = _ReferencePicker(n, start, batch)
     scan = _scan(n, G, gmatrix, eligible, start, batch)
     fetched = np.zeros(n, dtype=bool)
     active = np.ones(G, dtype=bool)
     for _ in range(40):
-        k = int(rng.integers(1, 200))
+        k = int(rng.integers(1, 200)) if k is None else k
         if grouped:
             scan.set_active(active)
             np.testing.assert_array_equal(scan.live, gmatrix[:, active].sum(axis=1))
@@ -168,6 +188,7 @@ def test_walk_matches_reference_loop(seed, batch, grouped):
         # Each group's active bit flips with probability 0.3: groups leave
         # the active set and come back, and at times none is active.
         active ^= rng.random(G) < 0.3
+        k = None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -178,7 +199,9 @@ def test_fold_reads_picked_rows_in_pick_order(seed):
     COUNT, ``m`` alone. Values include -0.0 and +0.0, whole blocks of them
     in places. ``masked``: a predicate and a short last block, always
     eligible; the predicate drops whole blocks, and the first round keeps
-    no row. Else there is no mask, and a COUNT fold counts blocks."""
+    no row. Else there is no mask, and a COUNT fold counts blocks. After
+    each fetch ``remaining`` counts each group's eligible blocks not yet
+    fetched."""
     for masked in (True, False):
         for fold in ("groups", "one", "count"):
             _check_fold(seed, masked, fold)
@@ -218,11 +241,16 @@ def _check_fold(seed, masked, fold):
     m, tot, sq = np.zeros(G), np.zeros(G), np.zeros(G)
     mn, mx = np.full(G, np.inf), np.full(G, -np.inf)
     scanned = 0
+    fetched = np.zeros(n, dtype=bool)
     k, first = 1, True
     while True:
         picked = scan.fetch(k)
         if picked.size == 0:
             break
+        fetched[picked] = True
+        np.testing.assert_array_equal(
+            scan.remaining, gmatrix[eligible & ~fetched].sum(axis=0)
+        )
         rows = (picked[:, None] * bs + np.arange(bs)).ravel()
         rows = rows[rows < R]
         scanned += rows.size

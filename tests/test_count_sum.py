@@ -1,6 +1,8 @@
 """Tests for the unknown-N machinery: Lemma 5, Theorem 3, COUNT/SUM CIs."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,60 @@ def test_sum_ci_contains_truth_monte_carlo():
         if not (float(lo) <= true_sum <= float(hi)):
             failures += 1
     assert failures / trials <= delta
+
+
+def _grid_digest(fn):
+    """sha256 of ``fn`` over a grid of scanned rows r, view hits m_v <= r
+    (m_v in {0, 1, 2}, m_v past r/2, m_v = r), scramble sizes R and
+    budgets; m_v as one array and as size-1 arrays (a one-view query)."""
+    h = hashlib.sha256()
+    for R in (50, 240_000):
+        for r in sorted({1, 2, 3, 25, R // 2, R - 1, R, 40_000 % R or 1}):
+            m_v = np.array(sorted({0, 1, 2, r // 3, r // 2 + 1, r - 1, r}), float)
+            m_v = m_v[m_v <= r]
+            for delta in (0.9, 1e-3, 6e-18):
+                for x in [m_v] + [m_v[i : i + 1] for i in range(m_v.size)]:
+                    for out in fn(x, r, R, delta):
+                        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+def _sum_grid_digest():
+    """sha256 of ``sum_ci`` over AVG intervals below, around and above zero
+    (signed zeros included) times COUNT intervals from 0 up; all pairs in
+    one call, then each pair alone as size-1 arrays."""
+    avg = [(-20.0, -10.0), (-5.0, 10.0), (-0.0, 0.0), (0.0, 3.5), (-7.25, -0.0),
+           (10.0, 20.0), (-1e-300, 1e-300), (-33.3, -33.3)]
+    cnt = [(0.0, 0.0), (0.0, 12.0), (1.0, 240_000.0), (4.5e4, 4.9e4)]
+    pairs = np.array([a + c for a in avg for c in cnt])
+    h = hashlib.sha256()
+    for cols in [pairs.T] + [pairs[i : i + 1].T for i in range(len(pairs))]:
+        lo, hi = sum_ci(*cols)
+        h.update(lo.tobytes() + hi.tobytes())
+    return h.hexdigest()
+
+
+#: The grids' digests, pinned: COUNT/SUM results are pinned byte for
+#: byte, so a rewrite of these formulas must keep their bytes.
+GRID_DIGESTS = {
+    "selectivity_ci": "80193299baa2b1b68a0178baa56b7aad79603ca53682fa8028558089c97890e3",
+    "count_ci": "6211e7f1b4320f8b610da84da05ee8525c96e8bfb953d0c1cfbec175e017a18e",
+    "n_plus": "f312bd4c0b826e63dd7d759ef11fdd41ad8a0933993649cdc1ec233756be0428",
+    "sum_ci": "ac0175667b4d38fbfb5369c71edd482c857634f2ae0e73d6e69d0dc41adb0d2d",
+}
+
+
+@pytest.mark.parametrize(
+    "name, fn",
+    [
+        ("selectivity_ci", selectivity_ci),
+        ("count_ci", count_ci),
+        ("n_plus", lambda m, r, R, d: (n_plus(m, r, R, d),)),
+    ],
+)
+def test_grid_bytes_pinned(name, fn):
+    assert _grid_digest(fn) == GRID_DIGESTS[name]
+
+
+def test_sum_ci_grid_bytes_pinned():
+    assert _sum_grid_digest() == GRID_DIGESTS["sum_ci"]

@@ -8,6 +8,8 @@ statistics must also contain the group's true AVG.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -179,3 +181,56 @@ def test_intervals_cover_true_group_means(scramble, prefix, flights_pdf, bounder
         if airline in out.index:
             row = out.loc[airline]
             assert row.ci_lo - 1e-9 <= mu <= row.ci_hi + 1e-9
+
+
+def _grid_stats():
+    """Per-group statistics the engine can pass: sizes m in {0, 1, 2} and
+    past N/2 (up to m = N), negative and positive means, tied samples
+    (zero variance), and an empty group's +-inf extremes."""
+    rng = np.random.default_rng(20_241)
+    cols = {k: [] for k in ("m", "total", "total_sq", "vmin", "vmax", "N")}
+    for i, m in enumerate([0, 1, 2, 3, 7, 40, 333, 999, 1000] * 4):
+        vals = np.round(rng.normal(rng.uniform(-45, 45), rng.uniform(0.5, 40), m), 2)
+        vals = np.clip(vals, A, B)
+        if i % 5 == 3 and m:
+            vals[:] = vals[0]
+        # N = m, past N/2, or far above it (an N+ bound is an integer).
+        N = float(max(1, np.ceil(max(m, 1) * (1.0, 1.3, 2.5, 40.0)[i % 4])))
+        cols["m"].append(float(m))
+        cols["total"].append(float(np.add.reduce(vals)) if m else 0.0)
+        cols["total_sq"].append(float(np.add.reduce(vals * vals)) if m else 0.0)
+        cols["vmin"].append(float(vals.min()) if m else np.inf)
+        cols["vmax"].append(float(vals.max()) if m else -np.inf)
+        cols["N"].append(N)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+def _grid_digest(kind, rt):
+    """sha256 of the CIs of every grid group, at two budgets: all groups in
+    one call, then each group alone as a size-1 array (a one-view query)."""
+    s = _grid_stats()
+    h = hashlib.sha256()
+    for delta in (0.5, 1e-17):
+        args = (s["m"], s["total"], s["total_sq"], s["vmin"], s["vmax"])
+        for lo, hi in [V.ci(kind, *args, A, B, s["N"], delta, rt)] + [
+            V.ci(kind, *(x[i : i + 1] for x in args), A, B, s["N"][i : i + 1], delta, rt)
+            for i in range(s["m"].size)
+        ]:
+            h.update(lo.tobytes() + hi.tobytes())
+    return h.hexdigest()
+
+
+#: ``_grid_digest`` per bounder, pinned: the engine's intervals are pinned
+#: byte for byte, so a rewrite of these formulas must keep their bytes.
+GRID_DIGESTS = {
+    ("hoeffding", False): "0a482f76438f216ecca90e8c65d067f206495dd6b3b130de297438d898db81b1",
+    ("hoeffding", True): "634e391a785c6d703978fe1a6bcf1a9ff3206fe1f839a6c343f288b286dc369f",
+    ("bernstein", False): "15df300f93edb73d31b3fdc17948dacc3bfa123a76faa9bbdc1c3390ff803320",
+    ("bernstein", True): "ee301e1ff375076da081fef722106d17f78e352d144e4b61d8c8e8788a2aa016",
+}
+
+
+@pytest.mark.parametrize("kind", ["hoeffding", "bernstein"])
+@pytest.mark.parametrize("rt", [False, True])
+def test_grid_bytes_pinned(kind, rt):
+    assert _grid_digest(kind, rt) == GRID_DIGESTS[kind, rt]
