@@ -42,11 +42,16 @@ def hoeffding_eps(m, a, b, N, delta):
 def bernstein_eps(m, sigma, a, b, N, delta):
     """Empirical Bernstein-Serfling one-sided epsilon (vectorized Alg 2)."""
     m, sigma, a, b, N = _as_arrays(m, sigma, a, b, N)
-    rho = np.where(
-        m <= N / 2.0,
-        1.0 - (m - 1.0) / N,
-        (1.0 - m / N) * (1.0 + 1.0 / m),
-    )
+    near = m <= N / 2.0
+    rho = 1.0 - (m - 1.0) / N
+    # Most calls sample less than half of every view: the other branch is
+    # then skipped, and else computed only for the lanes that take it.
+    if not near.all():
+        far = ~near
+        m_f = np.broadcast_to(m, far.shape)[far]
+        N_f = np.broadcast_to(N, far.shape)[far]
+        rho = np.array(rho)  # writable, also for scalar inputs
+        rho[far] = (1.0 - m_f / N_f) * (1.0 + 1.0 / m_f)
     rho = np.maximum(rho, 0.0)
     log_term = np.log(5.0 / delta)
     return sigma * np.sqrt(2.0 * rho * log_term / m) + BERNSTEIN_KAPPA * (

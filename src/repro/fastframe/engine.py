@@ -35,12 +35,14 @@ builds them with one ``bincount`` and one scatter. Group ids are
 ``intp``, as the store's string codes are, so ``bincount`` and
 ``ufunc.at`` index with them without a cast. The group bitmaps are one
 block-major matrix ``[n_blocks, n_groups]``; a scan over every block
-reads it without a copy. Each round then gathers the picked blocks'
-rows with ``np.take`` (block ``b`` is rows
-``[b*block_size, (b+1)*block_size)``, one row of a
-``[n_blocks, block_size]`` view) and folds the masked values into the
-per-group statistics, and updates its per-group and per-block counts
-from the fetched blocks' bitmap rows and the flipped groups' columns.
+reads it without a copy. Each round then reads the picked blocks' rows
+(block ``b`` is rows ``[b*block_size, (b+1)*block_size)``, one row of a
+read-only ``[n_blocks, block_size]`` view): a pick of consecutive blocks,
+as every COUNT/SUM round and most rounds of a query that reads most
+blocks, as one slice of that view, with no copy; other picks with
+``np.take``. It folds the masked values into the per-group statistics,
+and updates its per-group and per-block counts from the fetched blocks'
+bitmap rows and the flipped groups' columns.
 The fold does only the work its view needs: ``bincount`` and
 ``ufunc.at`` for many groups, whole-array reductions for one (no
 per-row group ids), and for COUNT the row count alone. A one-group
@@ -210,9 +212,10 @@ class _BlockPicker:
 
     def __init__(self, n_blocks: int, start_block: int, batch: int):
         self.n = n_blocks
-        order = (np.arange(n_blocks, dtype=np.int64) + start_block) % n_blocks
-        # Doubled, so that the window from any frontier is one slice.
-        self.order = np.concatenate([order, order])
+        # The visit order, doubled, so that the window from any frontier is
+        # one slice: start_block, ..., n-1, 0, ..., n-1, 0, ..., start_block-1.
+        blocks = np.arange(n_blocks, dtype=np.int64)
+        self.order = np.concatenate([blocks[start_block:], blocks, blocks[:start_block]])
         self.frontier = 0
         self.batch = batch
         self.probes = 0
@@ -268,9 +271,11 @@ class _Scan:
     blocks fetched, with no read of the matrix.
 
     The fold reads ``gid``, ``values`` and the predicate's row mask as
-    ``[n_blocks, block_size]``, one row per block, and gathers the picked
-    blocks' rows in pick order. A short last block is padded with rows
-    outside the mask; with no predicate and no padding there is no mask.
+    read-only ``[n_blocks, block_size]`` arrays, one row per block, and
+    reads the picked blocks' rows in pick order: one slice (a view) when
+    the pick is one run of consecutive blocks, else an ``np.take``
+    gather. A short last block is padded with rows outside the mask; with
+    no predicate and no padding there is no mask.
     It does only the work its view needs: many groups fold through
     ``bincount`` and ``ufunc.at``; one group through whole-array
     reductions of the kept values, with no ``gid``; and a COUNT
@@ -294,6 +299,7 @@ class _Scan:
         if self.short or not prep.rows.all():
             self.rows = _by_block(prep.rows, B, bs, False)
         self.g8 = prep.gmatrix.view(np.uint8)
+        self.g8.flags.writeable = False  # a view of the prep's matrix
         self.todo = eligible.copy()
         self.live = None  # None under Scan
         self.active = None
@@ -334,12 +340,18 @@ class _Scan:
         picked = self.picker.pick(self.todo, k_blocks, self.live, self.n_active)
         if picked.size == 0:
             return picked
-        self.todo[picked] = False
+        # Picks are in walk order, so consecutive blocks with no wrap are
+        # one run: its rows are a slice of each by-block array, read as a
+        # view. Other picks are gathered with ``np.take``.
+        first, last = int(picked[0]), int(picked[-1])
+        run = last - first == picked.size - 1
+        sel = slice(first, last + 1) if run else picked
+        self.todo[sel] = False
         self.blocks_fetched += int(picked.size)
         if self.remaining.size == 1:
             self.remaining -= picked.size
         else:
-            self.remaining -= _count(np.take(self.g8, picked, axis=0), axis=0)
+            self.remaining -= _count(_blocks(self.g8, sel), axis=0)
         self.rows_scanned += int(picked.size) * self.block_size
         if self.short and (picked == self.todo.size - 1).any():
             self.rows_scanned -= self.short
@@ -347,14 +359,14 @@ class _Scan:
             if self.rows is None:
                 self.m += picked.size * self.block_size
             else:
-                self.m += np.count_nonzero(np.take(self.rows, picked, axis=0))
+                self.m += np.count_nonzero(_blocks(self.rows, sel))
             return picked
         # Block by block in pick order: the sums depend on the order they
         # accumulate in.
         keep = None
         if self.rows is not None:
-            keep = np.flatnonzero(np.take(self.rows, picked, axis=0))
-        v = _gather(self.values, picked, keep)
+            keep = np.flatnonzero(_blocks(self.rows, sel))
+        v = _gather(self.values, sel, keep)
         if self.gid is None:
             self.m += v.size
             if v.size:
@@ -365,7 +377,7 @@ class _Scan:
                 np.minimum(self.mn, _last_tie(v.min(), v), out=self.mn)
                 np.maximum(self.mx, _last_tie(v.max(), v), out=self.mx)
             return picked
-        g = _gather(self.gid, picked, keep)
+        g = _gather(self.gid, sel, keep)
         G = self.m.size
         self.m += np.bincount(g, minlength=G)
         self.tot += np.bincount(g, weights=v, minlength=G)
@@ -375,15 +387,21 @@ class _Scan:
         return picked
 
 
-def _gather(a, picked, keep):
-    """The rows of ``a`` (``[n_blocks, block_size]``) of the ``picked``
-    blocks, in pick order, flattened; of those, the ``keep`` positions.
+def _blocks(a, sel):
+    """The rows of ``a`` (one per block) of the picked blocks, in pick
+    order: a read-only view for a run (``sel`` a slice), else a copy.
 
     ``np.take`` along the block axis copies whole block rows: 1.4-2.2x
     faster than fancy indexing ``a[picked]`` (numpy 1.26.4, 1 600 blocks
     of 25 float64, intp or bool values).
     """
-    v = np.take(a, picked, axis=0).reshape(-1)
+    return a[sel] if isinstance(sel, slice) else np.take(a, sel, axis=0)
+
+
+def _gather(a, sel, keep):
+    """The rows of ``a`` (``[n_blocks, block_size]``) of the picked blocks
+    (``sel``), in pick order, flattened; of those, the ``keep`` positions."""
+    v = _blocks(a, sel).reshape(-1)
     return v if keep is None else np.take(v, keep)
 
 
@@ -396,11 +414,15 @@ def _last_tie(x, v):
 
 def _by_block(a, n_blocks, block_size, pad):
     """``a`` as ``[n_blocks, block_size]``, one row per block: a view, or,
-    if the last block is short, a copy padded with ``pad``."""
+    if the last block is short, a copy padded with ``pad``. It is
+    read-only, and so is every slice of it the fold reads, so that no fold
+    writes into the column store."""
     short = n_blocks * block_size - a.size
     if short:
         a = np.concatenate([a, np.full(short, pad, dtype=a.dtype)])
-    return a.reshape(n_blocks, block_size)
+    a = a.reshape(n_blocks, block_size)
+    a.flags.writeable = False
+    return a
 
 
 def _count(m8, axis):

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan
+from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan, _blocks
 
 
 class _ReferencePicker:
@@ -202,9 +202,12 @@ def test_fold_reads_picked_rows_in_pick_order(seed):
     no row. Else there is no mask, and a COUNT fold counts blocks. After
     each fetch ``remaining`` counts each group's eligible blocks not yet
     fetched."""
+    shapes = set()
     for masked in (True, False):
         for fold in ("groups", "one", "count"):
-            _check_fold(seed, masked, fold)
+            shapes |= _check_fold(seed, masked, fold)
+    # Picks of one run of blocks are read as views, others gathered.
+    assert shapes == {"run", "gathered"}
 
 
 def _check_fold(seed, masked, fold):
@@ -242,11 +245,13 @@ def _check_fold(seed, masked, fold):
     mn, mx = np.full(G, np.inf), np.full(G, -np.inf)
     scanned = 0
     fetched = np.zeros(n, dtype=bool)
+    shapes = set()
     k, first = 1, True
     while True:
         picked = scan.fetch(k)
         if picked.size == 0:
             break
+        shapes.add("run" if picked[-1] - picked[0] == picked.size - 1 else "gathered")
         fetched[picked] = True
         np.testing.assert_array_equal(
             scan.remaining, gmatrix[eligible & ~fetched].sum(axis=0)
@@ -272,3 +277,31 @@ def _check_fold(seed, masked, fold):
         first = False
     assert not scan.todo.any()
     assert scanned == R - bs * int(np.count_nonzero(~eligible))
+    return shapes
+
+
+@pytest.mark.parametrize("short", [0, 3])
+def test_fetched_views_are_read_only(short):
+    """A run of picked blocks is read as views of the by-block arrays and
+    of the group matrix; a write to one raises, so no fold writes into the
+    column store or the prep, while those stay writable."""
+    rng = np.random.default_rng(0)
+    n, G, bs = 10, 3, 4
+    R = n * bs - short
+    prep = SimpleNamespace(
+        groups=[()] * G,
+        gmatrix=rng.random((n, G)) < 0.5,
+        rows=rng.random(R) < 0.7,
+        gid=rng.integers(0, G, R),
+        values=rng.normal(size=R),
+    )
+    scramble = SimpleNamespace(n_blocks=n, n_rows=R, block_size=bs)
+    scan = _Scan(scramble, prep, np.ones(n, dtype=bool), 0, LOOKAHEAD_BLOCKS)
+    np.testing.assert_array_equal(scan.fetch(3), [0, 1, 2])
+    for a in (scan.values, scan.gid, scan.rows, scan.g8):
+        view = _blocks(a, slice(0, 3))
+        assert np.shares_memory(view, a)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0
+    for a in (prep.gmatrix, prep.rows, prep.gid, prep.values):
+        assert a.flags.writeable

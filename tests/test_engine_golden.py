@@ -17,10 +17,16 @@ on purpose regenerates the file, from the repository root, with
 
     PYTHONPATH=src python -m tests.test_engine_golden
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. To see first what such a change moves, run
+
+    PYTHONPATH=src python -m tests.test_engine_golden --diff
+
+which prints, per stored field, how many runs differ from the file, and
+writes nothing.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -122,7 +128,53 @@ def test_engine_matches_golden(scramble):
             )
 
 
-def _main():
+def diff_counts(old, new):
+    """Per stored field, ``(runs whose value differs, of those the runs
+    that differ beyond their floats)``, over the runs in both ``old`` and
+    ``new``; and the runs only in ``old`` or only in ``new``."""
+    counts = {}
+    for run in (r for r in old if r in new):
+        for field in dict.fromkeys([*old[run], *new[run]]):
+            a, b = old[run].get(field), new[run].get(field)
+            n, beyond = counts.get(field, (0, 0))
+            counts[field] = (n + (a != b), beyond + (_no_floats(a) != _no_floats(b)))
+    return counts, [r for r in old if r not in new], [r for r in new if r not in old]
+
+
+def _no_floats(x):
+    """``x`` with every float as None: what is left of a decision but its
+    numbers."""
+    if isinstance(x, dict):
+        return {k: _no_floats(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_no_floats(v) for v in x]
+    return None if isinstance(x, float) else x
+
+
+def test_diff_counts():
+    old = {
+        "r1": {"lo": "h1", "decision": {"avg": 1.0}, "rounds": 2},
+        "r2": {"lo": "h2", "decision": ["a", "b"], "rounds": 3},
+        "r3": {"lo": "h3", "decision": None, "rounds": 1},
+    }
+    new = {
+        "r1": {"lo": "h9", "decision": {"avg": 1.5}, "rounds": 2},
+        "r2": {"lo": "h2", "decision": ["a"], "rounds": 3},
+        "r4": {"lo": "h4", "decision": None, "rounds": 1},
+    }
+    counts, gone, added = diff_counts(old, new)
+    assert counts == {"lo": (1, 1), "decision": (2, 1), "rounds": (0, 0)}
+    assert (gone, added) == (["r3"], ["r4"])
+
+
+def _main(argv=None):
+    ap = argparse.ArgumentParser(description="Regenerate the golden engine results.")
+    ap.add_argument(
+        "--diff",
+        action="store_true",
+        help="print, per stored field, how many runs differ from the file; write nothing",
+    )
+    opts = ap.parse_args(argv)
     from pyspark.sql import SparkSession
 
     from repro.fastframe.scramble import build_scramble
@@ -141,6 +193,13 @@ def _main():
     scramble = build_scramble(df, seed=TEST_SEED + 1)
     golden = dict(golden_runs(scramble))
     spark.stop()
+    if opts.diff:
+        counts, gone, added = diff_counts(json.loads(GOLDEN.read_text()), golden)
+        both = len(golden) - len(added)
+        for field, (n, beyond) in counts.items():
+            print(f"{field}: {n} of {both} runs differ, {beyond} beyond their floats")
+        print(f"runs only in the file: {len(gone)}, only in this code: {len(added)}")
+        return
     GOLDEN.parent.mkdir(exist_ok=True)
     # One run per line, so a regenerated file diffs run by run.
     lines = [f"{json.dumps(run)}: {json.dumps(out)}" for run, out in golden.items()]
