@@ -45,7 +45,8 @@ and updates its per-group and per-block counts from the fetched blocks'
 bitmap rows and the flipped groups' columns.
 The fold does only the work its view needs: ``bincount`` and
 ``ufunc.at`` for many groups, whole-array reductions for one (no
-per-row group ids), and for COUNT the row count alone. A one-group
+per-row group ids; each round's values are summed pairwise), and for
+COUNT the row count alone. A one-group
 view is in every block, so its count of blocks still to fetch is
 arithmetic: the eligible blocks less those fetched.
 After the first round, so, the work of a round is proportional to the
@@ -280,9 +281,10 @@ class _Scan:
     ``bincount`` and ``ufunc.at``; one group through whole-array
     reductions of the kept values, with no ``gid``; and a COUNT
     (``count_only``) folds ``m`` alone, from the mask's count or, with no
-    mask, from the number of blocks. The one-group fold adds in pick order
-    as ``bincount`` does and keeps ``ufunc.at``'s pick between a tied
-    -0.0 and +0.0, so it gives the same bytes.
+    mask, from the number of blocks. ``bincount`` adds in pick order; the
+    one-group fold adds each round's values pairwise (``np.add.reduce``,
+    so its sums can differ from ``bincount``'s in the last bits) and keeps
+    ``ufunc.at``'s pick between a tied -0.0 and +0.0.
     """
 
     def __init__(
@@ -361,8 +363,6 @@ class _Scan:
             else:
                 self.m += np.count_nonzero(_blocks(self.rows, sel))
             return picked
-        # Block by block in pick order: the sums depend on the order they
-        # accumulate in.
         keep = None
         if self.rows is not None:
             keep = np.flatnonzero(_blocks(self.rows, sel))
@@ -370,13 +370,13 @@ class _Scan:
         if self.gid is None:
             self.m += v.size
             if v.size:
-                # ``tot`` is never -0.0, so adding the round's sum from
-                # ``v[0]`` gives the bytes of bincount's sum from +0.0.
-                self.tot += np.add.accumulate(v)[-1]
-                self.sq += np.add.accumulate(v * v)[-1]
+                # Pairwise sums: ~10x faster than sums in pick order.
+                self.tot += np.add.reduce(v)
+                self.sq += np.add.reduce(v * v)
                 np.minimum(self.mn, _last_tie(v.min(), v), out=self.mn)
                 np.maximum(self.mx, _last_tie(v.max(), v), out=self.mx)
             return picked
+        # Many groups: ``bincount`` adds each group's values in pick order.
         g = _gather(self.gid, sel, keep)
         G = self.m.size
         self.m += np.bincount(g, minlength=G)

@@ -14,9 +14,11 @@ equal to the number of active groups in each block, and ``_Scan.fetch``
 fetched). The group matrix is block-major, ``[n_blocks, n_groups]``, as
 the engine's; with one group it is the all-ones column ``prepare``
 builds. Each fetch must fold exactly the picked blocks' rows, in pick
-order, a short last block included, and give the bytes of the
-``bincount``/``ufunc.at`` fold whether the view has many groups, one, or
-is a COUNT.
+order, a short last block included, whether the pick is one run of
+blocks (read as views, which are read-only) or gathered, and give the
+bytes of the ``bincount``/``ufunc.at`` fold for many groups, of
+per-round pairwise sums (``np.add.reduce``) and ``ufunc.at`` for one, and
+of the row count for a COUNT.
 """
 from __future__ import annotations
 
@@ -194,9 +196,10 @@ def _match_reference(rng, n, G, gmatrix, eligible, start, batch, grouped, k=None
 @pytest.mark.parametrize("seed", range(20))
 def test_fold_reads_picked_rows_in_pick_order(seed):
     """Each fetch folds the rows of the blocks it picked, block by block in
-    pick order, byte for byte as ``bincount`` and ``ufunc.at`` over a
-    gather by row index: with many groups, with one (no ``gid``) and, for
-    COUNT, ``m`` alone. Values include -0.0 and +0.0, whole blocks of them
+    pick order, byte for byte as a fold over a gather by row index:
+    ``bincount`` and ``ufunc.at`` with many groups, each round's
+    ``np.add.reduce`` and ``ufunc.at`` with one (no ``gid``) and, for
+    COUNT, ``m`` alone. The picks include runs of blocks and gathers. Values include -0.0 and +0.0, whole blocks of them
     in places. ``masked``: a predicate and a short last block, always
     eligible; the predicate drops whole blocks, and the first round keeps
     no row. Else there is no mask, and a COUNT fold counts blocks. After
@@ -263,8 +266,14 @@ def _check_fold(seed, masked, fold):
         g, v = gid[rows], values[rows]
         m += np.bincount(g, minlength=G)
         if fold != "count":
-            tot += np.bincount(g, weights=v, minlength=G)
-            sq += np.bincount(g, weights=v * v, minlength=G)
+            if G == 1:
+                # One view (also a "groups" case that drew G = 1): each
+                # round's values are summed pairwise.
+                tot += np.add.reduce(v)
+                sq += np.add.reduce(v * v)
+            else:
+                tot += np.bincount(g, weights=v, minlength=G)
+                sq += np.bincount(g, weights=v * v, minlength=G)
             np.minimum.at(mn, g, v)
             np.maximum.at(mx, g, v)
         if masked and first:

@@ -131,13 +131,17 @@ def test_engine_matches_golden(scramble):
 def diff_counts(old, new):
     """Per stored field, ``(runs whose value differs, of those the runs
     that differ beyond their floats)``, over the runs in both ``old`` and
-    ``new``; and the runs only in ``old`` or only in ``new``."""
+    ``new``; and the runs only in ``old`` or only in ``new``. The hashes of
+    ``lo``, ``hi`` and ``est`` count as floats; the hash of ``m``, a count,
+    does not."""
     counts = {}
     for run in (r for r in old if r in new):
         for field in dict.fromkeys([*old[run], *new[run]]):
             a, b = old[run].get(field), new[run].get(field)
             n, beyond = counts.get(field, (0, 0))
-            counts[field] = (n + (a != b), beyond + (_no_floats(a) != _no_floats(b)))
+            if field not in ("lo", "hi", "est"):
+                beyond += _no_floats(a) != _no_floats(b)
+            counts[field] = (n + (a != b), beyond)
     return counts, [r for r in old if r not in new], [r for r in new if r not in old]
 
 
@@ -153,17 +157,22 @@ def _no_floats(x):
 
 def test_diff_counts():
     old = {
-        "r1": {"lo": "h1", "decision": {"avg": 1.0}, "rounds": 2},
-        "r2": {"lo": "h2", "decision": ["a", "b"], "rounds": 3},
-        "r3": {"lo": "h3", "decision": None, "rounds": 1},
+        "r1": {"lo": "h1", "m": "c1", "decision": {"avg": 1.0}, "rounds": 2},
+        "r2": {"lo": "h2", "m": "c2", "decision": ["a", "b"], "rounds": 3},
+        "r3": {"lo": "h3", "m": "c3", "decision": None, "rounds": 1},
     }
     new = {
-        "r1": {"lo": "h9", "decision": {"avg": 1.5}, "rounds": 2},
-        "r2": {"lo": "h2", "decision": ["a"], "rounds": 3},
-        "r4": {"lo": "h4", "decision": None, "rounds": 1},
+        "r1": {"lo": "h9", "m": "c1", "decision": {"avg": 1.5}, "rounds": 2},
+        "r2": {"lo": "h2", "m": "c9", "decision": ["a"], "rounds": 3},
+        "r4": {"lo": "h4", "m": "c4", "decision": None, "rounds": 1},
     }
     counts, gone, added = diff_counts(old, new)
-    assert counts == {"lo": (1, 1), "decision": (2, 1), "rounds": (0, 0)}
+    assert counts == {
+        "lo": (1, 0),
+        "m": (1, 1),
+        "decision": (2, 1),
+        "rounds": (0, 0),
+    }
     assert (gone, added) == (["r3"], ["r4"])
 
 
