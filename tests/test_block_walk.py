@@ -199,8 +199,9 @@ def test_fold_reads_picked_rows_in_pick_order(seed):
     pick order, byte for byte as a fold over a gather by row index:
     ``bincount`` and ``ufunc.at`` with many groups, each round's
     ``np.add.reduce`` and ``ufunc.at`` with one (no ``gid``) and, for
-    COUNT, ``m`` alone. The picks include runs of blocks and gathers. Values include -0.0 and +0.0, whole blocks of them
-    in places. ``masked``: a predicate and a short last block, always
+    COUNT, ``m`` alone. The picks include runs of blocks and gathers.
+    Values include -0.0 and +0.0, whole blocks of them in places.
+    ``masked``: a predicate and a short last block, always
     eligible; the predicate drops whole blocks, and the first round keeps
     no row. Else there is no mask, and a COUNT fold counts blocks. After
     each fetch ``remaining`` counts each group's eligible blocks not yet

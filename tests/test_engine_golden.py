@@ -176,14 +176,14 @@ def test_diff_counts():
     assert (gone, added) == (["r3"], ["r4"])
 
 
-def _main(argv=None):
+def _main():
     ap = argparse.ArgumentParser(description="Regenerate the golden engine results.")
     ap.add_argument(
         "--diff",
         action="store_true",
         help="print, per stored field, how many runs differ from the file; write nothing",
     )
-    opts = ap.parse_args(argv)
+    opts = ap.parse_args()
     from pyspark.sql import SparkSession
 
     from repro.fastframe.scramble import build_scramble
