@@ -19,7 +19,7 @@ from repro.fastframe.scramble import Scramble
 
 
 def flights_pandas(scramble: Scramble) -> pd.DataFrame:
-    """The scramble's logical rows as pandas (cached; oracle input)."""
+    """A Spark-built scramble's logical rows as pandas (cached; oracle input)."""
     key = ("flights_pdf",)
     if key not in scramble.prep_cache:
         scramble.prep_cache[key] = (
@@ -37,17 +37,13 @@ def exact_decision(spec: QuerySpec, flights: pd.DataFrame) -> Any:
     finally:
         con.close()
     kind = spec.result_kind
-    if kind in ("avg_ci", "count", "sum"):
-        return float(out.iloc[0, 0])
+    if kind in ("avg_ci", "count", "sum", "case_gt"):
+        value = out.iloc[0, 0]
+        return int(value) if kind == "case_gt" else float(value)
     if kind in ("having_above", "having_below"):
         return sorted(out.iloc[:, 0].tolist())
-    if kind == "case_gt":
-        return int(out.iloc[0, 0])
-    if kind == "topk":
-        rows = [tuple(r) for r in out.itertuples(index=False, name=None)]
-        return [r if len(r) != 1 else r[0] for r in rows]
-    if kind == "ordered":
-        rows = [tuple(r) for r in out.itertuples(index=False, name=None)]
+    if kind in ("topk", "ordered"):
+        rows = out.itertuples(index=False, name=None)
         return [r if len(r) != 1 else r[0] for r in rows]
     raise ValueError(f"unknown result kind {kind!r}")
 

@@ -135,38 +135,29 @@ class Table2Row:
 
 def run_table2() -> pd.DataFrame:
     """Measure every property for every bounder (+RT variants)."""
-    rows: List[Table2Row] = []
     base = {
         "hoeffding": HoeffdingSerfling(),
         "bernstein": EmpiricalBernsteinSerfling(),
         "anderson": AndersonDKW(),
     }
-    for name, b in base.items():
-        paper = PAPER_TABLE2[name]
+    # RangeTrim removes PHOS from any range-based bounder (the paper's
+    # main claim); PMA classification is inherited from the inner bounder.
+    variants = [(name, b, PAPER_TABLE2[name]) for name, b in base.items()]
+    variants += [
+        (f"{name}+rt", RangeTrim(type(base[name])()), {**PAPER_TABLE2[name], "PHOS": False})
+        for name in ("hoeffding", "bernstein")
+    ]
+    rows: List[Table2Row] = []
+    for label, b, paper in variants:
         pma, phos = has_pma(b), has_phos(b)
         rows.append(
             Table2Row(
-                bounder=name,
+                bounder=label,
                 pma=pma,
                 phos=phos,
                 clip_sensitive=clip_shrinks_width(b),
                 memory="O(m)" if state_grows(b) else "O(1)",
                 matches_paper=(pma == paper["PMA"] and phos == paper["PHOS"]),
-            )
-        )
-    # RangeTrim removes PHOS from any range-based bounder (the paper's
-    # main claim); PMA classification is inherited from the inner bounder.
-    for name in ("hoeffding", "bernstein"):
-        b = RangeTrim(base[name].__class__())
-        pma, phos = has_pma(b), has_phos(b)
-        rows.append(
-            Table2Row(
-                bounder=f"{name}+rt",
-                pma=pma,
-                phos=phos,
-                clip_sensitive=clip_shrinks_width(b),
-                memory="O(m)" if state_grows(b) else "O(1)",
-                matches_paper=(pma == PAPER_TABLE2[name]["PMA"] and not phos),
             )
         )
     return pd.DataFrame([r.__dict__ for r in rows])

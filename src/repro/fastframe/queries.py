@@ -13,11 +13,9 @@ midnight in our integer DepTime encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 from repro.core.stopping import (
     Ordered,
@@ -26,6 +24,9 @@ from repro.core.stopping import (
     Threshold,
     TopK,
 )
+
+if TYPE_CHECKING:
+    from pyspark.sql import Column
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class Eq:
     value: Union[str, int]
 
     def to_spark(self) -> Column:
+        from pyspark.sql import functions as F
+
         return F.col(self.col) == F.lit(self.value)
 
     def row_mask(self, store) -> np.ndarray:
@@ -54,6 +57,8 @@ class Gt:
     value: float
 
     def to_spark(self) -> Column:
+        from pyspark.sql import functions as F
+
         return F.col(self.col) > F.lit(self.value)
 
     def row_mask(self, store) -> np.ndarray:

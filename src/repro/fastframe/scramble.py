@@ -6,28 +6,34 @@ scan — or any adaptively chosen subset of blocks — yields a uniform
 without-replacement sample of every aggregate view. The one-time
 shuffle cost is paid offline and amortized over all subsequent queries.
 
-The shuffle is built with the DataFrame API: ``rand(seed)`` ordering, a
-window ``row_number`` for positions, and integer division for block
-ids. One Arrow collect then copies the rows to the driver as a
-:class:`ColumnStore`, the in-memory column store the paper's FastFrame
-reads block by block: block ``b`` is rows ``[b*block_size,
-(b+1)*block_size)`` of every column. The catalog, queries, bitmaps and
-group domains are computed from the store in NumPy; the Spark DataFrame
-stays for the ground truth and the exact baselines.
+A :class:`Scramble` is assembled in one place, :func:`scramble_from_store`,
+from a :class:`ColumnStore`: the in-memory column store the paper's
+FastFrame reads block by block, where block ``b`` is rows
+``[b*block_size, (b+1)*block_size)`` of every column. The catalog,
+queries, bitmaps and group domains are computed from the store in NumPy.
+:func:`build_store` codes an Arrow table's rows in scramble order, so a
+scramble can also be built without Spark.
+
+Spark does only the one-time shuffle, in :func:`build_scramble`: a
+``rand(seed)`` ordering, a window ``row_number`` for positions, integer
+division for block ids, and one Arrow collect. Its DataFrame stays on
+the scramble for the exact baselines and the ground truth. pyspark is
+imported inside that function, so this module imports without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 from repro.fastframe.catalog import Catalog, build_catalog
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 DEFAULT_BLOCK_SIZE = 25  # paper §4.3: "we set the block size to 25 rows"
 
@@ -64,20 +70,18 @@ class ColumnStore:
         return col == (values.index(value) if value in values else -1)
 
 
-def build_store(df: DataFrame) -> ColumnStore:
-    """Copy a scramble's rows to the driver with one Arrow collect.
+def build_store(table: pa.Table, order=slice(None)) -> ColumnStore:
+    """Code the rows of an Arrow table, taken in scramble order.
 
-    Arrow rather than pandas keeps strings out of Python objects, which
-    lowers the driver's peak memory.
+    ``order`` holds the table's row positions in scramble order; by
+    default the rows already are in that order. Arrow rather than pandas
+    keeps strings out of Python objects, and each column is reordered
+    as soon as it is coded; both lower the driver's peak memory.
     """
-    table = df.drop("block_id").toArrow()
     if any(col.null_count for col in table.columns):
         raise ValueError("the column store does not hold NULLs")
-    order = np.argsort(table.column("row_id").to_numpy())
     columns, values = {}, {}
     for name in table.column_names:
-        if name == "row_id":
-            continue
         col = table.column(name)
         if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
             distinct = pc.unique(col).sort()
@@ -95,7 +99,8 @@ def build_store(df: DataFrame) -> ColumnStore:
 class Scramble:
     """A shuffled, block-addressed copy of a relation plus its catalog."""
 
-    df: DataFrame
+    #: the Spark scramble for the exact baselines; None if built without Spark
+    df: Optional[DataFrame]
     store: ColumnStore
     n_rows: int
     block_size: int
@@ -112,6 +117,26 @@ class Scramble:
         return out
 
 
+def scramble_from_store(
+    store: ColumnStore,
+    *,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    seed: int = 0,
+    df: Optional[DataFrame] = None,
+) -> Scramble:
+    """The scramble whose rows, in ``row_id`` order, are ``store``'s."""
+    catalog = build_catalog(store)
+    return Scramble(
+        df=df,
+        store=store,
+        n_rows=catalog.n_rows,
+        block_size=block_size,
+        n_blocks=math.ceil(catalog.n_rows / block_size),
+        catalog=catalog,
+        seed=seed,
+    )
+
+
 def build_scramble(
     df: DataFrame,
     *,
@@ -120,9 +145,12 @@ def build_scramble(
 ) -> Scramble:
     """Shuffle ``df`` into a block-addressed scramble (Definition 4).
 
-    One Spark pass shuffles and collects the rows; the catalog is then
-    computed from the collected store.
+    One Spark pass shuffles and collects the rows; the store and the
+    catalog are then computed on the driver.
     """
+    from pyspark.sql import Window
+    from pyspark.sql import functions as F
+
     # rand(seed) is seeded per partition, so the rows are first merged in
     # order into one partition: the scramble then depends on the rows and
     # the seed alone, not on how the source is split. The shuffle after
@@ -142,14 +170,7 @@ def build_scramble(
         )
         .persist()
     )
-    store = build_store(scrambled)  # also fills the DataFrame's cache
-    catalog = build_catalog(store)
-    return Scramble(
-        df=scrambled,
-        store=store,
-        n_rows=catalog.n_rows,
-        block_size=block_size,
-        n_blocks=math.ceil(catalog.n_rows / block_size),
-        catalog=catalog,
-        seed=seed,
-    )
+    table = scrambled.drop("block_id").toArrow()  # also fills the cache
+    order = np.argsort(table.column("row_id").to_numpy())
+    store = build_store(table.drop_columns(["row_id"]), order)
+    return scramble_from_store(store, block_size=block_size, seed=seed, df=scrambled)

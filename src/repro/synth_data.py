@@ -3,11 +3,18 @@
 SF=1.0 is 6 M rows. Tests use SF<=0.01; the Table 5/6 job
 (``jobs/run_table56.py``) defaults to SF=0.6. The
 generator is deterministic in ``seed`` so the DuckDB oracle sees
-identical input.
+identical input. ``flights_frame`` draws the rows in pandas; ``flights``
+hands them to Spark, and is the only function here that needs pyspark.
 """
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -72,6 +79,11 @@ def _airport_table(rng: np.random.Generator):
 
 
 def flights(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
+    """:func:`flights_frame`'s rows as a Spark DataFrame."""
+    return spark.createDataFrame(flights_frame(sf=sf, seed=seed))
+
+
+def flights_frame(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
     """Synthetic FLIGHTS-lite table (paper Table 3 substitute).
 
     Columns mirror the attributes the paper extracts from the public
@@ -122,7 +134,7 @@ def flights(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFram
     )
     delay = np.maximum(delay, FLIGHT_DELAY_MIN).round(2)
 
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "Origin": origin,
             "Airline": airline,
@@ -131,5 +143,4 @@ def flights(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFram
             "DayOfWeek": dow.astype("int64"),
         }
     )
-    return spark.createDataFrame(pdf)
 

@@ -13,10 +13,9 @@ from repro.fastframe.bitmap import (
     group_bitmap_matrix,
     group_domain,
 )
-from repro.fastframe.catalog import build_catalog
 from repro.fastframe.engine import EngineConfig, run_query
 from repro.fastframe.queries import QuerySpec
-from repro.fastframe.scramble import ColumnStore, Scramble
+from tests.conftest import frame_scramble
 
 
 def test_column_bitmap_matches_direct(scramble, flights_pdf):
@@ -98,28 +97,6 @@ def test_matrix_shapes(scramble):
     assert matrix.flags.c_contiguous
 
 
-def _numpy_scramble(pdf: pd.DataFrame, block_size: int) -> Scramble:
-    """A scramble of ``pdf``'s rows in their order, built without Spark."""
-    columns, values = {}, {}
-    for name in pdf.columns:
-        col = pdf[name].to_numpy()
-        if col.dtype == object:
-            uniq, col = np.unique(col, return_inverse=True)
-            values[name] = uniq.tolist()
-        columns[name] = col
-    store = ColumnStore(columns, values)
-    n = len(pdf)
-    return Scramble(
-        df=None,
-        store=store,
-        n_rows=n,
-        block_size=block_size,
-        n_blocks=-(-n // block_size),
-        catalog=build_catalog(store),
-        seed=0,
-    )
-
-
 def _sparse_pairs(n=203, seed=5):
     """Rows where only some (DayOfWeek, Origin) pairs occur."""
     rng = np.random.default_rng(seed)
@@ -136,7 +113,7 @@ def _sparse_pairs(n=203, seed=5):
 def test_pair_domain_with_absent_pairs():
     """Key pairs that never occur get no group, and rows map to their pair."""
     pdf = _sparse_pairs()
-    sc = _numpy_scramble(pdf, block_size=10)
+    sc = frame_scramble(pdf, block_size=10)
     groups, gid, matrix = group_bitmap_matrix(sc, ("DayOfWeek", "Origin"))
     pairs = pdf[["DayOfWeek", "Origin"]].drop_duplicates()
     expected = sorted(pairs.itertuples(index=False, name=None))
@@ -153,7 +130,7 @@ def test_pair_domain_with_absent_pairs():
 def test_pair_groupby_with_absent_pairs_is_exact():
     """F-q6's GROUP BY through the engine on a sparse key domain."""
     pdf = _sparse_pairs()
-    sc = _numpy_scramble(pdf, block_size=10)
+    sc = frame_scramble(pdf, block_size=10)
     spec = QuerySpec(
         name="pairs",
         stopping=Ordered(),
@@ -177,7 +154,7 @@ def test_presence_short_last_block(n_rows):
     rng = np.random.default_rng(n_rows)
     codes = rng.integers(0, 5, n_rows).astype(np.intp)
     codes[-1] = 5  # a code only the last row holds
-    sc = _numpy_scramble(pd.DataFrame({"x": np.zeros(n_rows)}), block_size=10)
+    sc = frame_scramble(pd.DataFrame({"x": np.zeros(n_rows)}), block_size=10)
     matrix = _presence(sc, codes, 6)
     want = np.zeros((sc.n_blocks, 6), dtype=bool)
     want[np.arange(n_rows) // 10, codes] = True

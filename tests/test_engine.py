@@ -29,9 +29,9 @@ from repro.fastframe import queries as Q
 from repro.fastframe.bitmap import build_column_bitmap, get_column_bitmap
 from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
-from repro.fastframe.scramble import build_scramble
+from repro.fastframe.scramble import scramble_from_store
 from repro.oracle import assert_equivalent
-from tests.conftest import TEST_SEED
+from tests.conftest import frame_scramble
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
 STRATEGIES = ("scan", "active_sync", "active_peek")
@@ -283,19 +283,14 @@ def test_fq4_decision_value(scramble, flights_pdf):
 SHORT_TAIL_ROWS = 1_013  # 40 full blocks and one of 13 rows
 
 
-@pytest.fixture(scope="module")
-def short_tail_scramble(flights_df):
-    df = flights_df.limit(SHORT_TAIL_ROWS).persist()
-    sc = build_scramble(df, seed=3)
-    yield sc
-    sc.df.unpersist()
-    df.unpersist()
-
-
-def test_short_last_block_matches_duckdb(short_tail_scramble):
-    sc = short_tail_scramble
+def test_short_last_block_matches_duckdb(flights_pdf, spark):
+    # The first tier-1 rows, shuffled, scrambled without Spark; DuckDB's
+    # truth comes from the same rows.
+    flights = flights_pdf.head(SHORT_TAIL_ROWS).sample(
+        frac=1.0, random_state=3, ignore_index=True
+    )
+    sc = frame_scramble(flights, seed=3)
     assert sc.n_rows == SHORT_TAIL_ROWS and sc.rows_per_block[-1] == 13
-    flights = flights_pandas(sc)
 
     spec = Q.fq9()
     res = run_query(sc, spec, _cfg(bounder="exact", strategy="scan", round_rows=250))
@@ -303,7 +298,7 @@ def test_short_last_block_matches_duckdb(short_tail_scramble):
     assert decision_correct(spec, res, exact_decision(spec, flights))
     got = pd.DataFrame({"Airline": [g[0] for g in res.groups], "avg": res.est})
     assert_equivalent(
-        sc.df.sparkSession.createDataFrame(got),
+        spark.createDataFrame(got),
         "SELECT Airline, AVG(DepDelay) AS avg FROM flights GROUP BY Airline",
         flights=flights,
     )
@@ -322,28 +317,25 @@ def test_short_last_block_matches_duckdb(short_tail_scramble):
 
 
 @pytest.fixture(scope="module")
-def block7_scramble(flights_df):
-    """The tier-1 data in blocks of 7 rows: the last block holds 5."""
-    sc = build_scramble(flights_df, seed=TEST_SEED + 1, block_size=7)
-    yield sc
-    sc.df.unpersist()
+def block7_scramble(scramble):
+    """The tier-1 scramble's rows in blocks of 7 rows: the last block holds 5."""
+    return scramble_from_store(scramble.store, block_size=7, seed=scramble.seed)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_block7_queries_match_duckdb(block7_scramble, strategy):
+def test_block7_queries_match_duckdb(block7_scramble, truth, strategy):
     sc = block7_scramble
     assert (sc.n_rows, sc.n_blocks, sc.rows_per_block[-1]) == (30_000, 4_286, 5)
-    flights = flights_pandas(sc)
     for name, make in Q.ALL_QUERIES.items():
         spec = make()
         res = run_query(sc, spec, _cfg(strategy=strategy, delta=1e-15))
-        assert decision_correct(spec, res, exact_decision(spec, flights)), name
+        assert decision_correct(spec, res, truth[name]), name
 
 
-def test_block7_count_sum_exhaustive_equal_duckdb(block7_scramble):
+def test_block7_count_sum_exhaustive_equal_duckdb(block7_scramble, scramble):
     sc = block7_scramble
     con = duckdb.connect()
-    con.register("flights", flights_pandas(sc))
+    con.register("flights", flights_pandas(scramble))
     for view in _views():
         count, total = con.execute(
             f"SELECT COUNT({view.agg_col}), SUM({view.agg_col}) "

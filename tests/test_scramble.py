@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.fastframe.scramble import DEFAULT_BLOCK_SIZE, build_scramble
 from repro.oracle import assert_equivalent
+from tests.conftest import frame_scramble
 
 
 def test_block_size_default_matches_paper(scramble):
@@ -90,6 +91,21 @@ def test_store_matches_scramble_rows(scramble):
         if name in store.values:
             col = np.asarray(store.values[name], dtype=object)[col]
         assert np.array_equal(col, pdf[name].to_numpy()), name
+
+
+def test_scramble_without_spark_equals_spark_build(scramble):
+    """The Spark scramble's rows, read in row_id order and built without
+    Spark, give the same store, catalog and blocks."""
+    rows = scramble.df.orderBy("row_id").drop("row_id", "block_id").toPandas()
+    sc = frame_scramble(rows, seed=scramble.seed)
+    assert sc.df is None
+    assert sc.store.values == scramble.store.values
+    assert sc.store.columns.keys() == scramble.store.columns.keys()
+    for name, col in scramble.store.columns.items():
+        got = sc.store.columns[name]
+        assert (got.dtype, got.tobytes()) == (col.dtype, col.tobytes()), name
+    assert sc.catalog == scramble.catalog
+    assert (sc.n_rows, sc.n_blocks) == (scramble.n_rows, scramble.n_blocks)
 
 
 def test_store_rejects_nulls(spark):

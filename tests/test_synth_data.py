@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.synth_data import FLIGHT_AIRLINES, FLIGHT_DELAY_MIN, flights
+from repro.synth_data import FLIGHT_AIRLINES, FLIGHT_DELAY_MIN, flights_frame
+from tests.conftest import TEST_SEED, TEST_SF
 
 
 def test_flights_schema(flights_df):
@@ -21,21 +22,26 @@ def test_flights_row_count(flights_df):
     assert flights_df.count() == int(6_000_000 * 0.005)
 
 
+def test_flights_is_the_frame(flights_pdf):
+    """Spark holds the generator's rows, in order, unchanged."""
+    assert flights_pdf.equals(flights_frame(sf=TEST_SF, seed=TEST_SEED))
+
+
 def test_flights_value_ranges(flights_pdf):
     assert flights_pdf.DepDelay.min() >= FLIGHT_DELAY_MIN
     assert flights_pdf.DepTime.between(300, 1439).all()
     assert flights_pdf.DayOfWeek.between(1, 7).all()
 
 
-def test_flights_deterministic(spark):
-    a = flights(spark, sf=0.001, seed=3).toPandas()
-    b = flights(spark, sf=0.001, seed=3).toPandas()
+def test_flights_deterministic():
+    a = flights_frame(sf=0.001, seed=3)
+    b = flights_frame(sf=0.001, seed=3)
     assert a.equals(b)
 
 
-def test_flights_seed_changes_data(spark):
-    a = flights(spark, sf=0.001, seed=3).toPandas()
-    b = flights(spark, sf=0.001, seed=4).toPandas()
+def test_flights_seed_changes_data():
+    a = flights_frame(sf=0.001, seed=3)
+    b = flights_frame(sf=0.001, seed=4)
     assert not a.DepDelay.equals(b.DepDelay)
 
 
@@ -67,16 +73,16 @@ def test_flights_ord_is_delayed_hub(flights_pdf):
     assert ord_row["mean"] == by_ap["mean"].max()  # the F-q8 answer
 
 
-def test_flights_late_departures_spread_airlines(spark):
+def test_flights_late_departures_spread_airlines():
     """F-q3's premise: airline means spread out for later departures."""
-    pdf = flights(spark, sf=0.02, seed=11).toPandas()
+    pdf = flights_frame(sf=0.02, seed=11)
     early = pdf[pdf.DepTime <= 800].groupby("Airline").DepDelay.mean()
     late = pdf[pdf.DepTime > 1300].groupby("Airline").DepDelay.mean()
     assert late.std() > early.std()
 
 
-def test_flights_has_outlier_tail(spark):
-    pdf = flights(spark, sf=0.05, seed=7).toPandas()
+def test_flights_has_outlier_tail():
+    pdf = flights_frame(sf=0.05, seed=7)
     # The catalog MAX is far beyond any typical per-group range.
     assert pdf.DepDelay.max() > 300
     assert (pdf.DepDelay > 300).mean() < 1e-3
