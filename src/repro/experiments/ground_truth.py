@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 import duckdb
+import numpy as np
 import pandas as pd
 
 from repro.fastframe.engine import QueryResult
@@ -19,12 +20,28 @@ from repro.fastframe.scramble import Scramble
 
 
 def flights_pandas(scramble: Scramble) -> pd.DataFrame:
-    """A Spark-built scramble's logical rows as pandas (cached; oracle input)."""
+    """The scramble's logical rows as pandas (cached; oracle input).
+
+    A Spark-built scramble's rows are read from its Spark copy, so the
+    oracle does not depend on :func:`~repro.fastframe.scramble.build_store`;
+    a scramble built without Spark has only its store, whose rows are
+    decoded, strings as ``object``.
+    """
     key = ("flights_pdf",)
     if key not in scramble.prep_cache:
-        scramble.prep_cache[key] = (
-            scramble.df.drop("row_id", "block_id").toPandas()
-        )
+        if scramble.df is not None:
+            rows = scramble.df.drop("row_id", "block_id").toPandas()
+        else:
+            store = scramble.store
+            rows = pd.DataFrame(
+                {
+                    name: np.asarray(store.values[name], dtype=object)[col]
+                    if name in store.values
+                    else col
+                    for name, col in store.columns.items()
+                }
+            )
+        scramble.prep_cache[key] = rows
     return scramble.prep_cache[key]
 
 

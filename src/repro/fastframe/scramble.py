@@ -14,11 +14,13 @@ queries, bitmaps and group domains are computed from the store in NumPy.
 :func:`build_store` codes an Arrow table's rows in scramble order, so a
 scramble can also be built without Spark.
 
-Spark does only the one-time shuffle, in :func:`build_scramble`: a
-``rand(seed)`` ordering, a window ``row_number`` for positions, integer
-division for block ids, and one Arrow collect. Its DataFrame stays on
-the scramble for the exact baselines and the ground truth. pyspark is
-imported inside that function, so this module imports without it.
+Spark does only the one-time shuffle, in :func:`build_scramble`: one
+job collects the rows with a ``rand(seed)`` key, and NumPy sorts them by
+it. The scramble keeps a Spark copy of its rows, made from the collected
+rows and not cached, for the exact baselines and the ground truth; its
+first reader materialises it, and a caller that times queries on it
+(Table 5's Spark reference) persists it. pyspark is imported inside that
+function, so this module imports without it.
 """
 from __future__ import annotations
 
@@ -70,13 +72,11 @@ class ColumnStore:
         return col == (values.index(value) if value in values else -1)
 
 
-def build_store(table: pa.Table, order=slice(None)) -> ColumnStore:
-    """Code the rows of an Arrow table, taken in scramble order.
+def build_store(table: pa.Table) -> ColumnStore:
+    """Code the rows of an Arrow table, already in scramble order.
 
-    ``order`` holds the table's row positions in scramble order; by
-    default the rows already are in that order. Arrow rather than pandas
-    keeps strings out of Python objects, and each column is reordered
-    as soon as it is coded; both lower the driver's peak memory.
+    Arrow rather than pandas keeps strings out of Python objects, which
+    lowers the driver's peak memory.
     """
     if any(col.null_count for col in table.columns):
         raise ValueError("the column store does not hold NULLs")
@@ -91,7 +91,7 @@ def build_store(table: pa.Table, order=slice(None)) -> ColumnStore:
             col = pc.index_in(col, value_set=distinct).to_numpy().astype(np.intp)
         else:
             col = col.to_numpy()
-        columns[name] = col[order]
+        columns[name] = col
     return ColumnStore(columns, values)
 
 
@@ -122,12 +122,11 @@ def scramble_from_store(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
-    df: Optional[DataFrame] = None,
 ) -> Scramble:
     """The scramble whose rows, in ``row_id`` order, are ``store``'s."""
     catalog = build_catalog(store)
     return Scramble(
-        df=df,
+        df=None,
         store=store,
         n_rows=catalog.n_rows,
         block_size=block_size,
@@ -145,32 +144,26 @@ def build_scramble(
 ) -> Scramble:
     """Shuffle ``df`` into a block-addressed scramble (Definition 4).
 
-    One Spark pass shuffles and collects the rows; the store and the
-    catalog are then computed on the driver.
+    One Spark job collects the rows, each with a ``rand(seed)`` key; the
+    scramble order is the keys' stable argsort, so a tie (vanishingly
+    rare) keeps source order. The store and the catalog are computed on
+    the driver, and only then is the Spark copy ``Scramble.df`` made:
+    the rows in scramble order, with ``row_id`` and ``block_id``. It is
+    neither sorted nor persisted; a caller that reads it repeatedly
+    caches it.
     """
-    from pyspark.sql import Window
     from pyspark.sql import functions as F
 
     # rand(seed) is seeded per partition, so the rows are first merged in
-    # order into one partition: the scramble then depends on the rows and
-    # the seed alone, not on how the source is split. The shuffle after
-    # rand() keeps the source's partitions (which hold the rows of a
-    # DataFrame made from pandas) out of the tasks of every later query on
-    # the cached scramble. The row_number window fixes a total order; ties
-    # in rand() are broken arbitrarily but deterministically.
-    w = Window.orderBy(F.col("_shuffle_key"))
-    scrambled = (
-        df.coalesce(1)
-        .withColumn("_shuffle_key", F.rand(seed))
-        .repartition(1)
-        .withColumn("row_id", F.row_number().over(w) - F.lit(1))
-        .drop("_shuffle_key")
-        .withColumn(
-            "block_id", (F.col("row_id") / F.lit(block_size)).cast("long")
-        )
-        .persist()
+    # order into one partition: the keys then depend on the rows and the
+    # seed alone, not on how the source is split.
+    table = df.coalesce(1).withColumn("_shuffle_key", F.rand(seed)).toArrow()
+    order = np.argsort(table.column("_shuffle_key").to_numpy(), kind="stable")
+    table = table.drop_columns(["_shuffle_key"]).take(order)
+    scramble = scramble_from_store(build_store(table), block_size=block_size, seed=seed)
+    row_id = np.arange(scramble.n_rows)
+    rows = table.append_column("row_id", pa.array(row_id)).append_column(
+        "block_id", pa.array(row_id // block_size)
     )
-    table = scrambled.drop("block_id").toArrow()  # also fills the cache
-    order = np.argsort(table.column("row_id").to_numpy())
-    store = build_store(table.drop_columns(["row_id"]), order)
-    return scramble_from_store(store, block_size=block_size, seed=seed, df=scrambled)
+    scramble.df = df.sparkSession.createDataFrame(rows)
+    return scramble

@@ -39,4 +39,6 @@ def flights_pdf(flights_df):
 
 @pytest.fixture(scope="session")
 def scramble(flights_df):
-    return build_scramble(flights_df, seed=TEST_SEED + 1)
+    sc = build_scramble(flights_df, seed=TEST_SEED + 1)
+    sc.df.persist()  # many tests read the Spark copy; its readers cache it
+    return sc

@@ -5,9 +5,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.experiments.ground_truth import decision_correct, exact_decision
+from repro.experiments.ground_truth import (
+    decision_correct,
+    exact_decision,
+    flights_pandas,
+)
 from repro.fastframe import queries as Q
 from repro.fastframe.engine import QueryResult
+from repro.synth_data import flights_frame
+from tests.conftest import frame_scramble
 
 
 def _fake_result(spec, decision, lo=0.0, hi=0.0):
@@ -42,6 +48,15 @@ def tiny_flights():
             "DayOfWeek": [1, 2, 1, 2, 1, 2],
         }
     )
+
+
+def test_truth_of_a_scramble_built_without_spark():
+    """A scramble with no Spark copy takes its truth from its store's rows."""
+    flights = flights_frame(sf=0.0005, seed=1)
+    rows = flights_pandas(frame_scramble(flights))
+    for name, make in Q.ALL_QUERIES.items():
+        spec = make()
+        assert exact_decision(spec, rows) == exact_decision(spec, flights), name
 
 
 def test_exact_avg(tiny_flights):

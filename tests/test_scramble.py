@@ -47,14 +47,45 @@ def test_scramble_actually_shuffles(scramble):
     assert head.DepTime.std() > 200
 
 
+def _assert_same_store(a, b):
+    assert a.values == b.values
+    assert a.columns.keys() == b.columns.keys()
+    for name, col in a.columns.items():
+        got = b.columns[name]
+        assert (got.dtype, got.tobytes()) == (col.dtype, col.tobytes()), name
+
+
 def test_scramble_deterministic_in_seed(flights_df):
     s1 = build_scramble(flights_df, seed=99)
     s2 = build_scramble(flights_df, seed=99)
-    a = s1.df.select("row_id", "DepDelay").toPandas().sort_values("row_id")
-    b = s2.df.select("row_id", "DepDelay").toPandas().sort_values("row_id")
-    assert np.array_equal(a.DepDelay.to_numpy(), b.DepDelay.to_numpy())
-    s1.df.unpersist()
-    s2.df.unpersist()
+    _assert_same_store(s1.store, s2.store)
+
+
+def test_scramble_order_is_spark_rand_order(flights_df, scramble):
+    """The store holds the source rows sorted by Spark's own rand(seed)
+    key, drawn over the rows merged into one partition."""
+    rows = (
+        flights_df.coalesce(1)
+        .withColumn("_key", F.rand(scramble.seed))
+        .orderBy("_key")
+        .drop("_key")
+        .toPandas()
+    )
+    _assert_same_store(frame_scramble(rows).store, scramble.store)
+
+
+def test_build_scramble_runs_one_spark_job(spark, flights_df):
+    """One job collects the rows; the Spark copy is left uncached."""
+    ctx = spark.sparkContext
+    ctx.setJobGroup("build-scramble-jobs", "build_scramble")
+    try:
+        sc = build_scramble(flights_df, seed=3)
+    finally:
+        ctx.setLocalProperty("spark.jobGroup.id", None)
+    # Job events reach the status tracker through the listener bus.
+    ctx._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(ctx.statusTracker().getJobIdsForGroup("build-scramble-jobs")) == 1
+    assert not sc.df.storageLevel.useMemory
 
 
 def test_scramble_independent_of_source_partitions(spark):
@@ -65,13 +96,9 @@ def test_scramble_independent_of_source_partitions(spark):
     def store(n_partitions):
         rdd = spark.sparkContext.parallelize(rows, n_partitions)
         sc = build_scramble(spark.createDataFrame(rdd, "x double, s string"), seed=5)
-        sc.df.unpersist()
         return sc.store
 
-    one, three = store(1), store(3)
-    assert one.values == three.values
-    for name, col in one.columns.items():
-        assert np.array_equal(col, three.columns[name]), name
+    _assert_same_store(store(1), store(3))
 
 
 def test_rows_per_block_accounts_for_partial_tail(scramble):
@@ -99,11 +126,7 @@ def test_scramble_without_spark_equals_spark_build(scramble):
     rows = scramble.df.orderBy("row_id").drop("row_id", "block_id").toPandas()
     sc = frame_scramble(rows, seed=scramble.seed)
     assert sc.df is None
-    assert sc.store.values == scramble.store.values
-    assert sc.store.columns.keys() == scramble.store.columns.keys()
-    for name, col in scramble.store.columns.items():
-        got = sc.store.columns[name]
-        assert (got.dtype, got.tobytes()) == (col.dtype, col.tobytes()), name
+    _assert_same_store(sc.store, scramble.store)
     assert sc.catalog == scramble.catalog
     assert (sc.n_rows, sc.n_blocks) == (scramble.n_rows, scramble.n_blocks)
 

@@ -197,3 +197,9 @@ def test_spark_reference_runs_in_every_round(scramble, monkeypatch):
     )
     assert calls == ["spark", "scan", "active_peek"] * ablation.TIMING_RUNS
     assert (df.spark_exact_s > 0).all()
+
+
+def test_spark_reference_reads_a_cached_copy(scramble):
+    scramble.df.unpersist(blocking=True)
+    ablation.spark_exact_run(scramble, Q.fq9())
+    assert scramble.df.storageLevel.useMemory
