@@ -20,9 +20,10 @@ the CI) but not for ``N-``; the engine therefore computes COUNT and SUM
 only from a plain ``Scan`` of every block. Group-driven skipping under
 the ``active_*`` strategies is *not* safe for ``N+``: a group's blocks
 are skipped while it is inactive, so its ``m_v / r`` is biased *low* and
-``N+`` can fall below ``N`` (measured in F-q5 ``active_peek`` runs at
-delta = 0.5: 26 of 80 with Hoeffding+RangeTrim, 13 of 80 with
-Bernstein+RangeTrim). This is an open defect, ROADMAP item G.
+``N+`` can fall below ``N``. So the engine uses :func:`n_plus` only
+where no block is skipped for a group's active state (Scan, and a query
+with one view), and otherwise the deterministic bound
+``m_v + block_size * (the view's blocks still to fetch)``.
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Exact decisions for each query, and decision-equality checks.
 
-Ground truth is computed by DuckDB over the scramble's row data (the
-same engine the repo-wide oracle uses), so every approximate run can be
-verified the way the paper verifies correctness ("results either
-matched the ground truth ... or were within error tolerance in the
-case of F-q1 and F-q7").
+Ground truth is computed by DuckDB (the engine the repo-wide oracle
+uses) over the scramble's rows, decoded from its column store without
+Spark, so every approximate run can be verified the way the paper
+verifies correctness ("results either matched the ground truth ... or
+were within error tolerance in the case of F-q1 and F-q7").
 """
 from __future__ import annotations
 
@@ -20,29 +20,17 @@ from repro.fastframe.scramble import Scramble
 
 
 def flights_pandas(scramble: Scramble) -> pd.DataFrame:
-    """The scramble's logical rows as pandas (cached; oracle input).
-
-    A Spark-built scramble's rows are read from its Spark copy, so the
-    oracle does not depend on :func:`~repro.fastframe.scramble.build_store`;
-    a scramble built without Spark has only its store, whose rows are
-    decoded, strings as ``object``.
-    """
-    key = ("flights_pdf",)
-    if key not in scramble.prep_cache:
-        if scramble.df is not None:
-            rows = scramble.df.drop("row_id", "block_id").toPandas()
-        else:
-            store = scramble.store
-            rows = pd.DataFrame(
-                {
-                    name: np.asarray(store.values[name], dtype=object)[col]
-                    if name in store.values
-                    else col
-                    for name, col in store.columns.items()
-                }
-            )
-        scramble.prep_cache[key] = rows
-    return scramble.prep_cache[key]
+    """The scramble's logical rows as pandas (oracle input): its store,
+    decoded, strings as ``object``."""
+    store = scramble.store
+    return pd.DataFrame(
+        {
+            name: np.asarray(store.values[name], dtype=object)[col]
+            if name in store.values
+            else col
+            for name, col in store.columns.items()
+        }
+    )
 
 
 def exact_decision(spec: QuerySpec, flights: pd.DataFrame) -> Any:

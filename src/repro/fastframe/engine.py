@@ -19,9 +19,9 @@ probe calls, is not modelled. When Scan has no block to skip (the next
 every block), it takes the next ``k`` blocks without a walk.
 
 AVG, COUNT and SUM (result kinds ``count`` and ``sum``, paper §4.1) run
-through this one loop and differ only in each round's interval:
-Theorem 3's ``N+`` with the AVG CI, the Lemma-5 COUNT CI, or the product
-of a COUNT and an AVG CI at half the budget each for SUM. Lemma 5 needs
+through this one loop and differ only in each round's interval: a
+view-size bound ``N+`` with the AVG CI, the Lemma-5 COUNT CI, or the
+product of a COUNT and an AVG CI at half the budget each for SUM. Lemma 5 needs
 an unskipped sample, so COUNT/SUM always scan every block. An exact
 query (``bounder="exact"``) runs no loop: it is one masked ``bincount``
 over the rows of the predicate-eligible blocks.
@@ -558,9 +558,22 @@ def _run_exact(scramble, spec, config, prep, eligible) -> QueryResult:
 
 
 def _avg_ci(config, prep, scan, r, R, delta_k):
-    """Theorem 3: the per-group view-size bound ``N+``, then the AVG CI."""
-    # Guard: a legal view size is >= the sample.
-    Nplus = np.maximum(n_plus(scan.m, r, R, delta_k), scan.m)
+    """The per-group view-size bound ``N+``, then the AVG CI.
+
+    Each block still to fetch that holds a view's rows holds at most
+    ``block_size`` of them, so ``m + block_size * remaining`` (at most
+    ``R``) bounds every view's size under every strategy, at no cost in
+    δ; it is ``m`` once the view is exhausted. Theorem 3's ``N+`` needs
+    the scanned rows to be a uniform sample of the view: it tightens the
+    bound only where no block is skipped for a group's active state,
+    under Scan and for a one-view query, whose view stays active until
+    the query stops.
+    """
+    Nplus = np.minimum(scan.m + scan.remaining * float(scan.block_size), float(R))
+    if scan.live is None or Nplus.size == 1:
+        Nplus = np.minimum(Nplus, n_plus(scan.m, r, R, delta_k))
+    # Guard: a legal view size is >= the sample, and >= 1.
+    Nplus = np.maximum(Nplus, np.maximum(scan.m, 1.0))
     return vectorized.ci(
         config.bounder,
         scan.m,

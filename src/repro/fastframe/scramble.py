@@ -11,16 +11,17 @@ from a :class:`ColumnStore`: the in-memory column store the paper's
 FastFrame reads block by block, where block ``b`` is rows
 ``[b*block_size, (b+1)*block_size)`` of every column. The catalog,
 queries, bitmaps and group domains are computed from the store in NumPy.
-:func:`build_store` codes an Arrow table's rows in scramble order, so a
-scramble can also be built without Spark.
+:func:`shuffle` puts an Arrow table's rows in scramble order, a
+``np.random.default_rng(seed)`` permutation, and :func:`build_store`
+codes them; so a scramble can also be built without Spark, and is the
+same scramble for the same rows and seed either way.
 
-Spark does only the one-time shuffle, in :func:`build_scramble`: one
-job collects the rows with a ``rand(seed)`` key, and NumPy sorts them by
-it. The scramble keeps a Spark copy of its rows, made from the collected
-rows and not cached, for the exact baselines and the ground truth; its
-first reader materialises it, and a caller that times queries on it
-(Table 5's Spark reference) persists it. pyspark is imported inside that
-function, so this module imports without it.
+Spark only hands over the rows, in :func:`build_scramble`: one job
+collects them with ``toArrow()``, in partition order. The scramble keeps
+a Spark copy of its rows, made from the shuffled rows and not cached,
+for the exact Spark baselines; its first reader materialises it, and a
+caller that times queries on it (Table 5's Spark reference) persists
+it. This module imports no pyspark.
 """
 from __future__ import annotations
 
@@ -107,7 +108,7 @@ class Scramble:
     n_blocks: int
     catalog: Catalog
     seed: int
-    #: cached offline artifacts (column bitmaps, the oracle's rows)
+    #: cached offline artifacts: the column bitmap indexes, built once
     prep_cache: Dict[Any, Any] = field(default_factory=dict)
 
     @property
@@ -136,6 +137,12 @@ def scramble_from_store(
     )
 
 
+def shuffle(table: pa.Table, seed: int) -> pa.Table:
+    """``table``'s rows in scramble order: a uniform random permutation
+    (Definition 4), ``np.random.default_rng(seed).permutation``."""
+    return table.take(np.random.default_rng(seed).permutation(table.num_rows))
+
+
 def build_scramble(
     df: DataFrame,
     *,
@@ -144,22 +151,15 @@ def build_scramble(
 ) -> Scramble:
     """Shuffle ``df`` into a block-addressed scramble (Definition 4).
 
-    One Spark job collects the rows, each with a ``rand(seed)`` key; the
-    scramble order is the keys' stable argsort, so a tie (vanishingly
-    rare) keeps source order. The store and the catalog are computed on
-    the driver, and only then is the Spark copy ``Scramble.df`` made:
-    the rows in scramble order, with ``row_id`` and ``block_id``. It is
-    neither sorted nor persisted; a caller that reads it repeatedly
-    caches it.
+    One Spark job collects the rows with ``toArrow()``, which returns
+    the partitions in order, so the scramble depends on the rows and the
+    seed alone, not on how the source is split; :func:`shuffle` orders
+    them in NumPy. The store and the catalog are computed on the driver,
+    and only then is the Spark copy ``Scramble.df`` made: the rows in
+    scramble order, with ``row_id`` and ``block_id``. It is neither
+    sorted nor persisted; a caller that reads it repeatedly caches it.
     """
-    from pyspark.sql import functions as F
-
-    # rand(seed) is seeded per partition, so the rows are first merged in
-    # order into one partition: the keys then depend on the rows and the
-    # seed alone, not on how the source is split.
-    table = df.coalesce(1).withColumn("_shuffle_key", F.rand(seed)).toArrow()
-    order = np.argsort(table.column("_shuffle_key").to_numpy(), kind="stable")
-    table = table.drop_columns(["_shuffle_key"]).take(order)
+    table = shuffle(df.toArrow(), seed)
     scramble = scramble_from_store(build_store(table), block_size=block_size, seed=seed)
     row_id = np.arange(scramble.n_rows)
     rows = table.append_column("row_id", pa.array(row_id)).append_column(

@@ -12,7 +12,7 @@ import pyarrow as pa
 import pytest
 
 from repro.fastframe.scramble import build_scramble, build_store, scramble_from_store
-from repro.synth_data import flights
+from repro.synth_data import flights, flights_frame
 
 TEST_SF = 0.005
 TEST_SEED = 7
@@ -33,8 +33,9 @@ def flights_df(spark):
 
 
 @pytest.fixture(scope="session")
-def flights_pdf(flights_df):
-    return flights_df.toPandas()
+def flights_pdf():
+    """``flights_df``'s rows, as the generator draws them."""
+    return flights_frame(sf=TEST_SF, seed=TEST_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.fastframe.catalog import Catalog, build_catalog
-from repro.fastframe.scramble import ColumnStore, build_scramble
+from repro.fastframe.scramble import ColumnStore
 
 
 def test_catalog_ranges_match_pandas(scramble, flights_pdf):
@@ -44,17 +44,6 @@ def test_catalog_rejects_nan():
     store = ColumnStore({"x": np.array([1.0, np.nan, 3.0])}, {})
     with pytest.raises(ValueError, match="NaN"):
         build_catalog(store)
-
-
-def test_scramble_rejects_empty_relation(spark):
-    with pytest.raises(ValueError, match="empty"):
-        build_scramble(spark.createDataFrame([], "x double, s string"))
-
-
-def test_scramble_rejects_nan(spark):
-    df = spark.createDataFrame([(1.0,), (float("nan"),)], "x double")
-    with pytest.raises(ValueError, match="NaN"):
-        build_scramble(df)
 
 
 def test_catalog_unknown_column_raises():

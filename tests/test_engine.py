@@ -16,6 +16,7 @@ import dataclasses
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.stopping import WidthTarget
@@ -29,8 +30,9 @@ from repro.fastframe import queries as Q
 from repro.fastframe.bitmap import build_column_bitmap, get_column_bitmap
 from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
-from repro.fastframe.scramble import scramble_from_store
+from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
 from repro.oracle import assert_equivalent
+from repro.synth_data import flights_frame
 from tests.conftest import frame_scramble
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
@@ -145,6 +147,38 @@ def test_intervals_enclose_true_group_means(scramble, flights_pdf):
     for g, lo, hi in zip(res.groups, res.lo, res.hi):
         mu = true_means[g[0]]
         assert lo - 1e-9 <= mu <= hi + 1e-9
+
+
+def test_view_size_bound_holds_under_active_scanning(monkeypatch):
+    """Every ``N`` the engine gives ``vectorized.ci`` is at least the
+    view's size, also when active scanning skips an inactive group's
+    blocks. F-q5 under ActivePeek at delta = 0.5, from 40 start blocks
+    of a scramble built without Spark: here Theorem 3's ``N+`` from the
+    biased sample falls below a view's size in about one run in five."""
+    rows = pa.Table.from_pandas(flights_frame(sf=0.05, seed=11), preserve_index=False)
+    sc = scramble_from_store(build_store(shuffle(rows, 12)))
+    spec = Q.fq5()
+    prep = prepare(sc, spec)
+    view_size = np.bincount(prep.gid[prep.rows], minlength=len(prep.groups))
+    ci = engine.vectorized.ci
+    too_small = []
+
+    def checked_ci(kind, m, total, total_sq, vmin, vmax, a, b, N, *rest):
+        too_small.append(bool((N < view_size).any()))
+        return ci(kind, m, total, total_sq, vmin, vmax, a, b, N, *rest)
+
+    monkeypatch.setattr(engine.vectorized, "ci", checked_ci)
+    for bounder in ("hoeffding", "bernstein"):
+        for start in range(0, sc.n_blocks, sc.n_blocks // 40):
+            config = EngineConfig(
+                bounder=bounder,
+                strategy="active_peek",
+                delta=0.5,
+                round_rows=4_000,
+                start_block=start,
+            )
+            run_query(sc, spec, config)
+    assert too_small and not any(too_small)
 
 
 # --- sampling-strategy mechanics ------------------------------------------

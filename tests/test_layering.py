@@ -6,7 +6,7 @@ Every ``repro.core`` and ``repro.fastframe`` module (the scramble and
 its column store, the catalog, the bitmaps, the queries, the engine and
 its COUNT/SUM wrapper), the generator and the Table 2 harness must
 import in an interpreter where ``pyspark`` cannot be imported. Spark
-stays in charge of the one-time shuffle (``build_scramble``), the
+stays in charge of collecting the source rows (``build_scramble``), the
 generator's DataFrame (``flights``) and the exact Spark baselines, which
 import it where they run; a Catalyst copy of the interval formulas, or
 a module-level pyspark import on the query path, would fail here.

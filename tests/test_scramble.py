@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
-from repro.fastframe.scramble import DEFAULT_BLOCK_SIZE, build_scramble
+from repro.fastframe.scramble import (
+    DEFAULT_BLOCK_SIZE,
+    build_scramble,
+    build_store,
+    scramble_from_store,
+    shuffle,
+)
 from repro.oracle import assert_equivalent
 from tests.conftest import frame_scramble
 
@@ -61,17 +68,14 @@ def test_scramble_deterministic_in_seed(flights_df):
     _assert_same_store(s1.store, s2.store)
 
 
-def test_scramble_order_is_spark_rand_order(flights_df, scramble):
-    """The store holds the source rows sorted by Spark's own rand(seed)
-    key, drawn over the rows merged into one partition."""
-    rows = (
-        flights_df.coalesce(1)
-        .withColumn("_key", F.rand(scramble.seed))
-        .orderBy("_key")
-        .drop("_key")
-        .toPandas()
-    )
-    _assert_same_store(frame_scramble(rows).store, scramble.store)
+def test_spark_build_equals_numpy_shuffle(scramble, flights_pdf):
+    """The Spark build is the generator's rows, shuffled and coded
+    without Spark: the same store, catalog and blocks."""
+    rows = pa.Table.from_pandas(flights_pdf, preserve_index=False)
+    sc = scramble_from_store(build_store(shuffle(rows, scramble.seed)))
+    _assert_same_store(sc.store, scramble.store)
+    assert sc.catalog == scramble.catalog
+    assert (sc.n_rows, sc.n_blocks) == (scramble.n_rows, scramble.n_blocks)
 
 
 def test_build_scramble_runs_one_spark_job(spark, flights_df):
@@ -131,10 +135,9 @@ def test_scramble_without_spark_equals_spark_build(scramble):
     assert (sc.n_rows, sc.n_blocks) == (scramble.n_rows, scramble.n_blocks)
 
 
-def test_store_rejects_nulls(spark):
-    df = spark.createDataFrame([(1.0,), (None,)], "x double")
+def test_store_rejects_nulls():
     with pytest.raises(ValueError, match="NULL"):
-        build_scramble(df)
+        build_store(pa.table({"x": pa.array([1.0, None])}))
 
 
 def test_prefix_is_uniform_sample(scramble, flights_pdf):
