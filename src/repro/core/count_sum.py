@@ -32,6 +32,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.bounders import HoeffdingSerfling
+
 #: Theorem 3 budget split between the N+ event and the mean bounder.
 ALPHA = 0.99
 
@@ -71,12 +73,13 @@ def n_plus(m_v, r, R, delta, alpha: float = ALPHA):
     One-sided (upper deviations only), so the Lemma-5 ``log(2/delta)``
     becomes ``log(1/((1-alpha)*delta))`` as in the theorem statement.
     Capped at R (a view can never exceed the scramble) and floored at 1
-    so it is always a legal dataset size for the bounders. ``r`` is a
-    scalar: the half-width is one Python float, as in ``selectivity_eps``.
+    so it is always a legal dataset size for the bounders. The half-width
+    is Algorithm 1's (:class:`HoeffdingSerfling`) on the 0/1
+    view-membership column after ``r >= 1`` of ``R`` rows, one Python
+    float for a scalar ``r``.
     """
-    rho = max(0.0, 1.0 - (float(r) - 1.0) / R)
-    r = max(1.0, float(r))
-    eps = math.sqrt(math.log(1.0 / ((1.0 - alpha) * delta)) / (2.0 * r) * rho)
+    r = float(r)
+    eps = HoeffdingSerfling.epsilon(r, 0.0, 1.0, R, (1 - alpha) * delta)
     est = (np.asarray(m_v, dtype=np.float64) / r + eps) * R
     return np.minimum(np.maximum(np.ceil(est), 1.0), float(R))
 

@@ -101,21 +101,18 @@ class RelWidth(StoppingCondition):
 
 @dataclass
 class WidthTarget(StoppingCondition):
-    """The COUNT/SUM width target: stop once ``width < abs_eps`` or
-    ``width < rel_eps * max(|est|, 1e-12)``; with neither set, only
+    """The COUNT/SUM width target: stop once
+    ``width < rel_eps * max(|est|, 1e-12)``; with ``rel_eps`` None, only
     exhaustion stops."""
 
-    abs_eps: Optional[float] = None
     rel_eps: Optional[float] = None
     number = 3
 
     def evaluate(self, est, lo, hi, m, exhausted):
         width = hi - lo
         met = np.zeros(width.shape, dtype=bool)
-        if self.abs_eps is not None:
-            met |= width < self.abs_eps
         if self.rel_eps is not None:
-            met |= width < self.rel_eps * np.maximum(np.abs(est), _TINY)
+            met = width < self.rel_eps * np.maximum(np.abs(est), _TINY)
         return self._finish(~met, exhausted)
 
 

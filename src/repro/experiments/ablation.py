@@ -74,8 +74,8 @@ TIMING_RUNS = 5
 def spark_exact_run(scramble: Scramble, spec: QuerySpec) -> Callable[[], object]:
     """The query's exact SQL on Spark as a call to time, warmed up once.
 
-    The scramble's Spark copy is persisted first, so that the warm-up
-    fills the cache and every timed run reads a cached DataFrame.
+    The scramble's source DataFrame is persisted first, so that the
+    warm-up fills the cache and every timed run reads a cached DataFrame.
     """
     scramble.df.persist()
     scramble.df.createOrReplaceTempView("flights")

@@ -11,7 +11,8 @@ and it keeps those codes (each row's index into the sorted values).
 Every presence matrix is block-major: block ``b``'s row marks the
 values (or groups) it holds, contiguous, so the engine's per-round
 work over the blocks it fetches is a gather of whole rows. A value's
-block bitmap (``ColumnBitmap.row``) is a column of that matrix.
+block bitmap is a column of that matrix, and the value's index into
+``ColumnBitmap.values`` is the one lookup an ``Eq`` predicate makes.
 
 A GROUP BY on one column reuses that index as is: its keys, row ids
 and matrix are the column's values, codes and matrix, so the query
@@ -41,16 +42,6 @@ class ColumnBitmap:
     codes: np.ndarray  # intp [n_rows] — each row's index into values
     matrix: np.ndarray  # bool [n_blocks, n_values]
 
-    def row(self, value) -> np.ndarray:
-        """bool [n_blocks]: the blocks holding ``value`` (a column view)."""
-        try:
-            idx = self.values.index(value)
-        except ValueError:
-            raise KeyError(
-                f"value {value!r} not present in column {self.column!r}"
-            ) from None
-        return self.matrix[:, idx]
-
 
 def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray:
     """bool [n_blocks, n_codes]: does the block hold a row of the code.
@@ -71,8 +62,17 @@ def _presence(scramble: Scramble, codes: np.ndarray, n_codes: int) -> np.ndarray
 
 
 def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
-    """One scatter of the column's codes -> matrix."""
-    values, codes = scramble.store.codes(column)
+    """The column's sorted values and codes, then one scatter -> matrix.
+
+    A string column's values and codes are the store's own; a numeric
+    column's come from one ``np.unique`` over every row.
+    """
+    store = scramble.store
+    if column in store.values:
+        values, codes = store.values[column], store.columns[column]
+    else:
+        distinct, codes = np.unique(store.columns[column], return_inverse=True)
+        values = distinct.tolist()
     return ColumnBitmap(
         column, values, codes, _presence(scramble, codes, len(values))
     )
@@ -80,10 +80,9 @@ def build_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
 
 def get_column_bitmap(scramble: Scramble, column: str) -> ColumnBitmap:
     """Cached accessor — the index is built once per scramble."""
-    key = ("bitmap", column)
-    if key not in scramble.prep_cache:
-        scramble.prep_cache[key] = build_column_bitmap(scramble, column)
-    return scramble.prep_cache[key]
+    if column not in scramble.bitmaps:
+        scramble.bitmaps[column] = build_column_bitmap(scramble, column)
+    return scramble.bitmaps[column]
 
 
 def group_domain(

@@ -4,7 +4,7 @@ A COUNT or SUM over one aggregate view runs as the ``count`` or ``sum``
 result kind of :func:`repro.fastframe.engine.run_query`: an unskipped
 scan (Lemma 5, see :mod:`repro.core.count_sum`) whose per-round COUNT or
 SUM interval feeds the OptStop running intersection. This module turns
-the absolute/relative width target into a stopping condition and the
+the relative width target into a stopping condition and the
 result into a :class:`ScalarResult`.
 """
 from __future__ import annotations
@@ -51,23 +51,21 @@ def run_count_sum(
     delta: float = 1e-15,
     round_rows: int = 40_000,
     rel_eps: Optional[float] = None,
-    abs_eps: Optional[float] = None,
 ) -> ScalarResult:
     """Scan until the COUNT/SUM CI is tight enough (or data exhausted).
 
     ``spec`` supplies the predicate and measure column; its group columns
-    must be empty (one aggregate view). Stop when the interval's relative
-    (``rel_eps``) or absolute (``abs_eps``) width target is met; with
-    neither set, scans to exhaustion and returns the exact value.
+    must be empty (one aggregate view). Stop once the interval is
+    narrower than ``rel_eps`` times the estimate's magnitude; with
+    ``rel_eps`` None, scans to exhaustion and returns the exact value.
     """
     if agg not in ("COUNT", "SUM"):
         raise ValueError(f"agg must be COUNT or SUM, got {agg!r}")
-    for name, eps in (("rel_eps", rel_eps), ("abs_eps", abs_eps)):
-        if eps is not None and not eps > 0:
-            raise ValueError(f"{name} must be > 0, got {eps!r}")
+    if rel_eps is not None and not rel_eps > 0:
+        raise ValueError(f"rel_eps must be > 0, got {rel_eps!r}")
     spec = dataclasses.replace(
         spec,
-        stopping=WidthTarget(abs_eps=abs_eps, rel_eps=rel_eps),
+        stopping=WidthTarget(rel_eps),
         result_kind=agg.lower(),
     )
     config = EngineConfig(

@@ -28,7 +28,8 @@ over the rows of the predicate-eligible blocks.
 
 A query's prep (``prepare``) reads the scramble's driver-resident
 column store and its column bitmap indexes: the predicate's row mask
-and eligible blocks, each row's group and the group bitmaps, all in
+and eligible blocks (an ``Eq``'s both from one lookup of its value in
+its column's index), each row's group and the group bitmaps, all in
 NumPy and without a sort. A one-column GROUP BY takes its groups, row
 ids and bitmaps from the column's index as they are; a composite one
 builds them with one ``bincount`` and one scatter. Group ids are
@@ -178,9 +179,14 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     for p in spec.predicate:
         if isinstance(p, Eq):
             bm = get_column_bitmap(scramble, p.col)
-            # A value absent from the column matches no row and no block.
-            static &= bm.row(p.value) if p.value in bm.values else False
-        rows &= p.row_mask(store)
+            if p.value in bm.values:
+                i = bm.values.index(p.value)
+                static &= bm.matrix[:, i]
+                rows &= bm.codes == i
+            else:  # as in SQL, a value the column lacks matches no row
+                static[:] = rows[:] = False
+        else:
+            rows &= store.columns[p.col] > p.value
 
     return Prep(
         groups=groups,

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.stopping import (
     Ordered,
     RelWidth,
@@ -41,9 +39,6 @@ class Eq:
 
         return F.col(self.col) == F.lit(self.value)
 
-    def row_mask(self, store) -> np.ndarray:
-        return store.equals(self.col, self.value)
-
     def to_sql(self) -> str:
         v = f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
         return f"{self.col} = {v}"
@@ -60,9 +55,6 @@ class Gt:
         from pyspark.sql import functions as F
 
         return F.col(self.col) > F.lit(self.value)
-
-    def row_mask(self, store) -> np.ndarray:
-        return store.columns[self.col] > self.value
 
     def to_sql(self) -> str:
         return f"{self.col} > {self.value}"

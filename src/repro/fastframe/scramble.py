@@ -17,17 +17,16 @@ codes them; so a scramble can also be built without Spark, and is the
 same scramble for the same rows and seed either way.
 
 Spark only hands over the rows, in :func:`build_scramble`: one job
-collects them with ``toArrow()``, in partition order. The scramble keeps
-a Spark copy of its rows, made from the shuffled rows and not cached,
-for the exact Spark baselines; its first reader materialises it, and a
-caller that times queries on it (Table 5's Spark reference) persists
-it. This module imports no pyspark.
+collects them with ``toArrow()``, in partition order. The scramble's
+rows live once, in its store; the source DataFrame is kept as it is for
+the exact Spark baselines, which aggregate over all rows and so need no
+scramble order. This module imports no pyspark.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -38,12 +37,14 @@ from repro.fastframe.catalog import Catalog, build_catalog
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame
 
+    from repro.fastframe.bitmap import ColumnBitmap
+
 DEFAULT_BLOCK_SIZE = 25  # paper §4.3: "we set the block size to 25 rows"
 
 
 @dataclass
 class ColumnStore:
-    """The scramble's columns on the driver, in ``row_id`` order.
+    """The scramble's columns on the driver, in scramble order.
 
     Numeric columns hold their values; string columns hold ``intp``
     codes into ``values[column]``, the column's sorted distinct values.
@@ -51,26 +52,6 @@ class ColumnStore:
 
     columns: Dict[str, np.ndarray]
     values: Dict[str, List]
-
-    def codes(self, column: str) -> Tuple[List, np.ndarray]:
-        """The column's sorted distinct values and each row's index into them.
-
-        A string column's are the store's own list and array. For other
-        columns this is an ``np.unique`` over every row, so the column
-        bitmap build calls it once per column and keeps the codes.
-        """
-        if column in self.values:
-            return self.values[column], self.columns[column]
-        values, codes = np.unique(self.columns[column], return_inverse=True)
-        return values.tolist(), codes
-
-    def equals(self, column: str, value) -> np.ndarray:
-        """Row mask of ``column == value``."""
-        col = self.columns[column]
-        if column not in self.values:
-            return col == value
-        values = self.values[column]
-        return col == (values.index(value) if value in values else -1)
 
 
 def build_store(table: pa.Table) -> ColumnStore:
@@ -108,8 +89,8 @@ class Scramble:
     n_blocks: int
     catalog: Catalog
     seed: int
-    #: cached offline artifacts: the column bitmap indexes, built once
-    prep_cache: Dict[Any, Any] = field(default_factory=dict)
+    #: the column bitmap indexes, each built once (``bitmap.get_column_bitmap``)
+    bitmaps: Dict[str, ColumnBitmap] = field(default_factory=dict)
 
     @property
     def rows_per_block(self) -> np.ndarray:
@@ -124,7 +105,7 @@ def scramble_from_store(
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
 ) -> Scramble:
-    """The scramble whose rows, in ``row_id`` order, are ``store``'s."""
+    """The scramble whose rows, in order, are ``store``'s."""
     catalog = build_catalog(store)
     return Scramble(
         df=None,
@@ -154,16 +135,14 @@ def build_scramble(
     One Spark job collects the rows with ``toArrow()``, which returns
     the partitions in order, so the scramble depends on the rows and the
     seed alone, not on how the source is split; :func:`shuffle` orders
-    them in NumPy. The store and the catalog are computed on the driver,
-    and only then is the Spark copy ``Scramble.df`` made: the rows in
-    scramble order, with ``row_id`` and ``block_id``. It is neither
-    sorted nor persisted; a caller that reads it repeatedly caches it.
+    them in NumPy, and the store and the catalog are computed on the
+    driver. ``df`` itself becomes ``Scramble.df``, neither copied nor
+    cached, for the exact Spark baselines. It must be deterministic
+    (e.g. no unseeded ``rand``): those baselines re-read it and must
+    see the rows the store holds.
     """
-    table = shuffle(df.toArrow(), seed)
-    scramble = scramble_from_store(build_store(table), block_size=block_size, seed=seed)
-    row_id = np.arange(scramble.n_rows)
-    rows = table.append_column("row_id", pa.array(row_id)).append_column(
-        "block_id", pa.array(row_id // block_size)
+    scramble = scramble_from_store(
+        build_store(shuffle(df.toArrow(), seed)), block_size=block_size, seed=seed
     )
-    scramble.df = df.sparkSession.createDataFrame(rows)
+    scramble.df = df
     return scramble

@@ -40,6 +40,4 @@ def flights_pdf():
 
 @pytest.fixture(scope="session")
 def scramble(flights_df):
-    sc = build_scramble(flights_df, seed=TEST_SEED + 1)
-    sc.df.persist()  # many tests read the Spark copy; its readers cache it
-    return sc
+    return build_scramble(flights_df, seed=TEST_SEED + 1)

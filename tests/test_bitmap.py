@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.stopping import Ordered
+from repro.experiments.ground_truth import flights_pandas
 from repro.fastframe.bitmap import (
     _presence,
     build_column_bitmap,
@@ -18,19 +19,19 @@ from repro.fastframe.queries import QuerySpec
 from tests.conftest import frame_scramble
 
 
-def test_column_bitmap_matches_direct(scramble, flights_pdf):
+def _block_ids(scramble) -> np.ndarray:
+    """Each row's block: rows are in scramble order, in whole blocks."""
+    return np.arange(scramble.n_rows) // scramble.block_size
+
+
+def test_column_bitmap_matches_direct(scramble):
     bm = build_column_bitmap(scramble, "Airline")
-    pdf = scramble.df.select("Airline", "block_id").toPandas()
-    for value in bm.values[:5]:
+    airline = flights_pandas(scramble).Airline.to_numpy()
+    block = _block_ids(scramble)
+    for i, value in enumerate(bm.values[:5]):
         expected = np.zeros(scramble.n_blocks, dtype=bool)
-        expected[pdf[pdf.Airline == value].block_id.unique()] = True
-        assert np.array_equal(bm.row(value), expected)
-
-
-def test_column_bitmap_unknown_value(scramble):
-    bm = get_column_bitmap(scramble, "Airline")
-    with pytest.raises(KeyError):
-        bm.row("NOPE")
+        expected[block[airline == value]] = True
+        assert np.array_equal(bm.matrix[:, i], expected)
 
 
 def test_bitmap_cached(scramble):
@@ -53,14 +54,14 @@ def test_pair_domain(scramble, flights_pdf):
     )
     assert set(dom) == expected
     assert dom == sorted(dom)
-    pdf = scramble.df.orderBy("row_id").select("DayOfWeek", "Origin").toPandas()
+    pdf = flights_pandas(scramble)[["DayOfWeek", "Origin"]]
     assert [dom[i] for i in gid] == list(pdf.itertuples(index=False, name=None))
 
 
 @pytest.mark.parametrize("column", ["Origin", "DayOfWeek"])
 def test_single_column_row_groups(scramble, column):
     """String codes (Origin) and np.unique codes (DayOfWeek) map rows right."""
-    pdf = scramble.df.orderBy("row_id").select(column).toPandas()
+    pdf = flights_pandas(scramble)
     want = [(v,) for v in pdf[column]]
     dom, gid = group_domain(scramble, (column,))
     groups, gid_m, _ = group_bitmap_matrix(scramble, (column,))
@@ -70,16 +71,18 @@ def test_single_column_row_groups(scramble, column):
 
 
 def test_single_column_group_matrix(scramble):
-    groups, _, matrix = group_bitmap_matrix(scramble, ("Airline",))
+    """A one-column GROUP BY shares its column's index as is."""
+    groups, gid, matrix = group_bitmap_matrix(scramble, ("Airline",))
     bm = get_column_bitmap(scramble, "Airline")
-    for i, g in enumerate(groups):
-        assert np.array_equal(matrix[:, i], bm.row(g[0]))
+    assert groups == [(v,) for v in bm.values]
+    assert gid is bm.codes and matrix is bm.matrix
 
 
 def test_pair_matrix_is_exact(scramble):
     """F-q6's composite matrix marks exactly the blocks holding each pair."""
     groups, _, matrix = group_bitmap_matrix(scramble, ("DayOfWeek", "Origin"))
-    pdf = scramble.df.select("DayOfWeek", "Origin", "block_id").toPandas()
+    pdf = flights_pandas(scramble)[["DayOfWeek", "Origin"]]
+    pdf = pdf.assign(block_id=_block_ids(scramble))
     expected = np.zeros_like(matrix)
     for i, ((d, o), sub) in enumerate(pdf.groupby(["DayOfWeek", "Origin"])):
         assert groups[i] == (d, o)

@@ -64,24 +64,15 @@ def test_sum_ci_encloses_truth_early_stop(scramble, flights_pdf):
     assert res.lo - 1e-6 <= truth <= res.hi + 1e-6
 
 
-def test_sum_abs_eps_stopping(scramble):
-    res_loose = run_count_sum(
-        scramble, _spec(), "SUM", round_rows=ROUND, abs_eps=1e12
-    )
-    res_tight = run_count_sum(scramble, _spec(), "SUM", round_rows=ROUND)
-    assert res_loose.blocks_fetched <= res_tight.blocks_fetched
-
-
 def test_invalid_agg_rejected(scramble):
     with pytest.raises(ValueError):
         run_count_sum(scramble, _spec(), "AVG")
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
-@pytest.mark.parametrize("target", ["rel_eps", "abs_eps"])
-def test_nonpositive_width_target_rejected(scramble, target, eps):
+def test_nonpositive_width_target_rejected(scramble, eps):
     with pytest.raises(ValueError):
-        run_count_sum(scramble, _spec(), "COUNT", **{target: eps})
+        run_count_sum(scramble, _spec(), "COUNT", rel_eps=eps)
 
 
 def test_grouped_spec_rejected(scramble):

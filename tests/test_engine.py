@@ -454,9 +454,8 @@ def test_queries_leave_shared_index_unchanged(scramble):
         for agg in ("COUNT", "SUM"):
             run_count_sum(scramble, view, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
 
-    cached = [v for k, v in scramble.prep_cache.items() if k[0] == "bitmap"]
-    assert {bm.column for bm in cached} == set(BITMAP_COLUMNS)
-    for bm in cached:
+    assert set(scramble.bitmaps) == set(BITMAP_COLUMNS)
+    for bm in scramble.bitmaps.values():
         fresh = build_column_bitmap(scramble, bm.column)
         assert bm.values == fresh.values
         assert np.array_equal(bm.codes, fresh.codes)

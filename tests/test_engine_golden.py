@@ -8,7 +8,8 @@ tier-1 data (SF 0.005, data seed 7, scramble seed 8), round_rows 2 000:
 * COUNT and SUM on the five distinct F-query views without GROUP BY ×
   ``rel_eps`` {0.05, None} through ``run_count_sum``.
 
-The runs use the shared tier-1 ``scramble`` fixture.
+The runs use the shared tier-1 ``scramble`` fixture; regenerating the
+file builds the same scramble without Spark.
 
 A run stores every ``QueryResult`` (or ``ScalarResult``) field except
 ``wall_seconds``; its float arrays are stored as the sha256 of their
@@ -184,24 +185,21 @@ def _main():
         help="print, per stored field, how many runs differ from the file; write nothing",
     )
     opts = ap.parse_args()
-    from pyspark.sql import SparkSession
+    import pyarrow as pa
 
-    from repro.fastframe.scramble import build_scramble
-    from repro.synth_data import flights
+    from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
+    from repro.synth_data import flights_frame
     from tests.conftest import TEST_SEED, TEST_SF
 
-    spark = (
-        SparkSession.builder.master("local[2]")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
+    # The tier-1 scramble, built without Spark: the same store as the
+    # ``scramble`` fixture's (test_scramble's Spark-build check).
+    rows = pa.Table.from_pandas(
+        flights_frame(sf=TEST_SF, seed=TEST_SEED), preserve_index=False
     )
-    df = flights(spark, sf=TEST_SF, seed=TEST_SEED)
-    scramble = build_scramble(df, seed=TEST_SEED + 1)
+    scramble = scramble_from_store(
+        build_store(shuffle(rows, TEST_SEED + 1)), seed=TEST_SEED + 1
+    )
     golden = dict(golden_runs(scramble))
-    spark.stop()
     if opts.diff:
         counts, gone, added = diff_counts(json.loads(GOLDEN.read_text()), golden)
         both = len(golden) - len(added)

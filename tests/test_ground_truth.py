@@ -51,7 +51,7 @@ def tiny_flights():
 
 
 def test_truth_of_a_scramble_built_without_spark():
-    """A scramble with no Spark copy takes its truth from its store's rows."""
+    """A scramble built without Spark takes its truth from its store's rows."""
     flights = flights_frame(sf=0.0005, seed=1)
     rows = flights_pandas(frame_scramble(flights))
     for name, make in Q.ALL_QUERIES.items():

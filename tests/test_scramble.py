@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
-from pyspark.sql import functions as F
 
+from repro.experiments.ground_truth import flights_pandas
 from repro.fastframe.scramble import (
     DEFAULT_BLOCK_SIZE,
     build_scramble,
@@ -13,7 +14,6 @@ from repro.fastframe.scramble import (
     scramble_from_store,
     shuffle,
 )
-from repro.oracle import assert_equivalent
 from tests.conftest import frame_scramble
 
 
@@ -21,34 +21,20 @@ def test_block_size_default_matches_paper(scramble):
     assert scramble.block_size == DEFAULT_BLOCK_SIZE == 25
 
 
-def test_row_ids_are_a_permutation(scramble):
-    ids = scramble.df.select("row_id").toPandas()["row_id"].to_numpy()
-    assert len(ids) == scramble.n_rows
-    assert np.array_equal(np.sort(ids), np.arange(scramble.n_rows))
-
-
-def test_block_ids_consistent(scramble):
-    pdf = scramble.df.select("row_id", "block_id").toPandas()
-    assert (pdf.block_id == pdf.row_id // scramble.block_size).all()
-    assert pdf.block_id.max() == scramble.n_blocks - 1
-
-
 def test_scramble_preserves_multiset(scramble, flights_pdf):
     """The shuffle must not lose, duplicate, or alter any tuple."""
-    got = scramble.df.groupBy("Airline").agg(
-        F.count(F.lit(1)).alias("n"), F.sum("DepDelay").alias("s")
-    )
-    assert_equivalent(
-        got,
-        "SELECT Airline, COUNT(*) AS n, SUM(DepDelay) AS s "
-        "FROM flights GROUP BY Airline",
-        flights=flights_pdf,
+
+    def sorted_rows(df):
+        return df.sort_values(list(df.columns), ignore_index=True)
+
+    pd.testing.assert_frame_equal(
+        sorted_rows(flights_pandas(scramble)), sorted_rows(flights_pdf)
     )
 
 
 def test_scramble_actually_shuffles(scramble):
     """A prefix of the scramble must not be a prefix of the source order."""
-    head = scramble.df.filter(F.col("row_id") < 1000).select("DepTime").toPandas()
+    head = flights_pandas(scramble).head(1000)
     # The source generator draws DepTime uniformly; a random prefix keeps
     # that distribution, while a sorted or clustered layout would not.
     assert head.DepTime.std() > 200
@@ -79,7 +65,7 @@ def test_spark_build_equals_numpy_shuffle(scramble, flights_pdf):
 
 
 def test_build_scramble_runs_one_spark_job(spark, flights_df):
-    """One job collects the rows; the Spark copy is left uncached."""
+    """One job collects the rows; the source DataFrame is kept, not copied."""
     ctx = spark.sparkContext
     ctx.setJobGroup("build-scramble-jobs", "build_scramble")
     try:
@@ -89,7 +75,7 @@ def test_build_scramble_runs_one_spark_job(spark, flights_df):
     # Job events reach the status tracker through the listener bus.
     ctx._jsc.sc().listenerBus().waitUntilEmpty()
     assert len(ctx.statusTracker().getJobIdsForGroup("build-scramble-jobs")) == 1
-    assert not sc.df.storageLevel.useMemory
+    assert sc.df is flights_df
 
 
 def test_scramble_independent_of_source_partitions(spark):
@@ -112,11 +98,12 @@ def test_rows_per_block_accounts_for_partial_tail(scramble):
     assert 1 <= rpb[-1] <= scramble.block_size
 
 
-def test_store_matches_scramble_rows(scramble):
-    """The column store holds the scramble's rows in row_id order."""
-    pdf = scramble.df.orderBy("row_id").toPandas()
+def test_store_matches_scramble_rows(scramble, flights_pdf):
+    """The column store holds the source rows in the seed's permutation."""
+    perm = np.random.default_rng(scramble.seed).permutation(len(flights_pdf))
+    pdf = flights_pdf.iloc[perm]
     store = scramble.store
-    assert set(store.columns) == set(pdf.columns) - {"row_id", "block_id"}
+    assert set(store.columns) == set(pdf.columns)
     for name, col in store.columns.items():
         assert col.shape == (scramble.n_rows,)
         if name in store.values:
@@ -125,10 +112,9 @@ def test_store_matches_scramble_rows(scramble):
 
 
 def test_scramble_without_spark_equals_spark_build(scramble):
-    """The Spark scramble's rows, read in row_id order and built without
-    Spark, give the same store, catalog and blocks."""
-    rows = scramble.df.orderBy("row_id").drop("row_id", "block_id").toPandas()
-    sc = frame_scramble(rows, seed=scramble.seed)
+    """The Spark scramble's rows, decoded from its store in order and
+    built without Spark, give the same store, catalog and blocks."""
+    sc = frame_scramble(flights_pandas(scramble), seed=scramble.seed)
     assert sc.df is None
     _assert_same_store(sc.store, scramble.store)
     assert sc.catalog == scramble.catalog
@@ -144,9 +130,7 @@ def test_prefix_is_uniform_sample(scramble, flights_pdf):
     """Scanning a scramble prefix = without-replacement sampling: the
     prefix mean should be within a Hoeffding bound of the true mean."""
     m = 5000
-    prefix = (
-        scramble.df.filter(F.col("row_id") < m).select("DepDelay").toPandas()
-    )
+    prefix = flights_pandas(scramble).head(m)
     mu, rng = flights_pdf.DepDelay.mean(), np.ptp(flights_pdf.DepDelay)
     eps = rng * np.sqrt(np.log(2 / 1e-6) / (2 * m))
     assert abs(prefix.DepDelay.mean() - mu) < eps

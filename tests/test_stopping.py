@@ -72,17 +72,15 @@ def test_rel_width_formula():
 
 # --- COUNT/SUM width target ----------------------------------------------
 
-def test_width_target_abs_or_rel():
+def test_width_target_rel():
     # widths 20, 2 and 2e-13; the relative target floors |est| at 1e-12
     args = _arrays([100, 100, 0], [90, 99, -1e-13], [110, 101, 1e-13])
 
-    def active(**eps):
-        return WidthTarget(**eps).evaluate(*args).active.tolist()
+    def active(rel_eps):
+        return WidthTarget(rel_eps).evaluate(*args).active.tolist()
 
-    assert active(abs_eps=5) == [True, False, False]
-    assert active(rel_eps=0.1) == [True, False, True]
-    assert active(rel_eps=0.5) == [False, False, False]
-    assert active(abs_eps=5, rel_eps=0.1) == [True, False, False]
+    assert active(0.1) == [True, False, True]
+    assert active(0.5) == [False, False, False]
 
 
 def test_width_target_unset_stops_only_at_exhaustion():
@@ -209,7 +207,7 @@ def test_exhausted_groups_never_active_any_condition():
         RelWidth(1e-9),
         Threshold(0.0),
         Ordered(),
-        WidthTarget(abs_eps=1e-9),
+        WidthTarget(rel_eps=1e-9),
     ):
         v = cond.evaluate(
             *_arrays([1, 1], [-100, -100], [100, 100], exhausted=exhausted)

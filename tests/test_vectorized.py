@@ -13,12 +13,12 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import vectorized as V
 from repro.core.bounders import EmpiricalBernsteinSerfling, HoeffdingSerfling
 from repro.core.range_trim import RangeTrim
 from repro.core.stats import from_values
+from repro.experiments.ground_truth import flights_pandas
 
 A, B = -60.0, 700.0
 SCALARS = {"hoeffding": HoeffdingSerfling(), "bernstein": EmpiricalBernsteinSerfling()}
@@ -140,11 +140,7 @@ def test_bounds_always_within_range():
 
 @pytest.fixture(scope="module")
 def prefix(scramble):
-    return (
-        scramble.df.filter(F.col("row_id") < 8000)
-        .select("Airline", "DepDelay")
-        .toPandas()
-    )
+    return flights_pandas(scramble).head(8000)[["Airline", "DepDelay"]]
 
 
 def _prefix_ci(values: pd.Series, airline: pd.Series, kind, a, b, N, delta):
