@@ -31,6 +31,8 @@ import bisect
 import math
 from typing import List
 
+import numpy as np
+
 from repro.core.stats import GroupStats
 
 #: kappa constant of the empirical Bernstein-Serfling inequality
@@ -73,8 +75,10 @@ class Bounder:
 class HoeffdingSerfling(Bounder):
     """Algorithm 1: Hoeffding-Serfling error bounder.
 
-    ``eps = (b-a) * sqrt(rho * log(1/delta) / (2m))`` with the Serfling
-    sampling-fraction factor ``rho = 1 - (m-1)/N``.
+    ``eps = (b-a) * sqrt(log(1/delta) / (2m) * rho)`` with the Serfling
+    sampling-fraction factor ``rho = 1 - (m-1)/N``. On the 0/1
+    view-membership column (``a, b = 0, 1``) it is also the half-width of
+    the COUNT interval (Lemma 5) and of ``N+`` (Theorem 3).
     """
 
     name = "hoeffding"
@@ -88,8 +92,11 @@ class HoeffdingSerfling(Bounder):
 
     @staticmethod
     def epsilon(m: int, a: float, b: float, N: int, delta: float) -> float:
+        """One Python float. The log is ``np.log``: ``math.log`` can differ
+        in the last bit, and the engine's COUNT intervals are pinned byte
+        for byte."""
         rho = max(0.0, 1.0 - (m - 1) / N)
-        return (b - a) * math.sqrt(rho * math.log(1.0 / delta) / (2.0 * m))
+        return (b - a) * math.sqrt(float(np.log(1.0 / delta)) / (2.0 * m) * rho)
 
     def lbound(self, state: GroupStats, a, b, N, delta) -> float:
         _check(a, b, N, delta)

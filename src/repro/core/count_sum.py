@@ -1,11 +1,14 @@
-"""Unknown-N machinery: selectivity CIs, the online N+ bound, and
-COUNT / SUM confidence intervals (paper Section 4.1).
+"""Unknown-N machinery: the COUNT CI, the online N+ bound and the SUM CI
+(paper Section 4.1).
 
 A scramble scan that has processed ``r`` of ``R`` rows and seen ``m_v``
-rows belonging to an aggregate view V gives a Hoeffding-Serfling CI for
-the selectivity ``sigma_v`` (Lemma 5: the 0/1 view-membership column has
-range bounds a=0, b=1), hence a CI ``[N-, N+]`` for the view size
-``N = sigma_v * R``.
+rows belonging to an aggregate view V is a uniform sample of the 0/1
+view-membership column, whose range bounds are a=0, b=1. Algorithm 1
+(:class:`HoeffdingSerfling`) on that column bounds the selectivity
+``sigma_v``, hence the view size ``N = sigma_v * R``: two-sided, the
+COUNT CI (Lemma 5, :func:`count_ci`); one-sided, ``N+`` (Theorem 3,
+:func:`n_plus`). Both take the half-width from
+``HoeffdingSerfling.epsilon``.
 
 Theorem 3 splits the confidence budget: ``(1-alpha)*delta`` buys the
 event ``N <= N+`` and ``alpha*delta`` is left for the mean bounder run
@@ -27,7 +30,6 @@ with one view), and otherwise the deterministic bound
 """
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -38,40 +40,28 @@ from repro.core.bounders import HoeffdingSerfling
 ALPHA = 0.99
 
 
-def selectivity_eps(r, R, delta) -> float:
-    """Lemma 5 half-width for the selectivity after scanning r >= 1 of R rows.
+def count_ci(m_v, r, R, delta) -> Tuple[np.ndarray, np.ndarray]:
+    """(1-delta) CI for the COUNT of rows in the view (Lemma 5).
 
-    ``r``, ``R`` and ``delta`` are scalars, so the half-width is one
-    Python float, computed without a NumPy call on a size-1 array. The
-    log is ``np.log``: ``math.log`` can differ in the last bit, and the
-    engine's intervals are pinned byte for byte.
+    ``R * clip(m_v/r ± eps, 0, 1)`` with ``eps`` Algorithm 1's
+    half-width at ``delta/2`` per side on the 0/1 view-membership column
+    after ``r >= 1`` of ``R`` rows: the interval of
+    ``HoeffdingSerfling().ci`` over ``[0, 1]`` with ``N = R``, times ``R``.
+    ``eps`` is one Python float for a scalar ``r``.
     """
     r = float(r)
-    rho = max(0.0, 1.0 - (r - 1.0) / R)
-    return math.sqrt(float(np.log(2.0 / delta)) / (2.0 * r) * rho)
-
-
-def selectivity_ci(m_v, r, R, delta) -> Tuple[np.ndarray, np.ndarray]:
-    """(1-delta) CI for the selectivity of a view, clipped to [0, 1]."""
-    m_v = np.asarray(m_v, dtype=np.float64)
-    eps = selectivity_eps(r, R, delta)
-    sel = m_v / max(1.0, float(r))
+    eps = HoeffdingSerfling.epsilon(r, 0.0, 1.0, R, delta / 2.0)
+    sel = np.asarray(m_v, dtype=np.float64) / r
     # As np.clip, with less overhead per call.
     lo = np.minimum(np.maximum(sel - eps, 0.0), 1.0)
-    return lo, np.minimum(np.maximum(sel + eps, 0.0), 1.0)
+    return lo * R, np.minimum(np.maximum(sel + eps, 0.0), 1.0) * R
 
 
-def count_ci(m_v, r, R, delta) -> Tuple[np.ndarray, np.ndarray]:
-    """(1-delta) CI for the COUNT of rows in the view (selectivity * R)."""
-    lo, hi = selectivity_ci(m_v, r, R, delta)
-    return lo * R, hi * R
-
-
-def n_plus(m_v, r, R, delta, alpha: float = ALPHA):
-    """Theorem 3 upper bound N+ on the view size, holding w.p. 1-(1-alpha)delta.
+def n_plus(m_v, r, R, delta):
+    """Theorem 3 upper bound N+ on the view size, holding w.p. 1-(1-ALPHA)delta.
 
     One-sided (upper deviations only), so the Lemma-5 ``log(2/delta)``
-    becomes ``log(1/((1-alpha)*delta))`` as in the theorem statement.
+    becomes ``log(1/((1-ALPHA)*delta))`` as in the theorem statement.
     Capped at R (a view can never exceed the scramble) and floored at 1
     so it is always a legal dataset size for the bounders. The half-width
     is Algorithm 1's (:class:`HoeffdingSerfling`) on the 0/1
@@ -79,7 +69,7 @@ def n_plus(m_v, r, R, delta, alpha: float = ALPHA):
     float for a scalar ``r``.
     """
     r = float(r)
-    eps = HoeffdingSerfling.epsilon(r, 0.0, 1.0, R, (1 - alpha) * delta)
+    eps = HoeffdingSerfling.epsilon(r, 0.0, 1.0, R, (1 - ALPHA) * delta)
     est = (np.asarray(m_v, dtype=np.float64) / r + eps) * R
     return np.minimum(np.maximum(np.ceil(est), 1.0), float(R))
 

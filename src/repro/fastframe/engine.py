@@ -19,9 +19,12 @@ probe calls, is not modelled. When Scan has no block to skip (the next
 every block), it takes the next ``k`` blocks without a walk.
 
 AVG, COUNT and SUM (result kinds ``count`` and ``sum``, paper §4.1) run
-through this one loop and differ only in each round's interval: a
+through this one loop, with one ``EngineConfig`` and one ``QueryResult``,
+and differ only in each round's interval: a
 view-size bound ``N+`` with the AVG CI, the Lemma-5 COUNT CI, or the
-product of a COUNT and an AVG CI at half the budget each for SUM. Lemma 5 needs
+product of a COUNT and an AVG CI at half the budget each for SUM. ``N+``
+and the COUNT CI are both Algorithm 1 (Hoeffding-Serfling) on the 0/1
+view-membership column. Lemma 5 needs
 an unskipped sample, so COUNT/SUM always scan every block. An exact
 query (``bounder="exact"``) runs no loop: it is one masked ``bincount``
 over the rows of the predicate-eligible blocks.

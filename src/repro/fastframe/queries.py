@@ -34,11 +34,6 @@ class Eq:
     col: str
     value: Union[str, int]
 
-    def to_spark(self) -> Column:
-        from pyspark.sql import functions as F
-
-        return F.col(self.col) == F.lit(self.value)
-
     def to_sql(self) -> str:
         v = f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
         return f"{self.col} = {v}"
@@ -50,11 +45,6 @@ class Gt:
 
     col: str
     value: float
-
-    def to_spark(self) -> Column:
-        from pyspark.sql import functions as F
-
-        return F.col(self.col) > F.lit(self.value)
 
     def to_sql(self) -> str:
         return f"{self.col} > {self.value}"
@@ -76,8 +66,6 @@ class QuerySpec:
     #: avg_ci | having_above | having_below | case_gt | topk | ordered,
     #: or count | sum over one view (no GROUP BY)
     result_kind: str = "avg_ci"
-    #: description from paper Table 4 for human-readable reports
-    description: str = ""
     params: dict = field(default_factory=dict)
 
     def signature(self):
@@ -85,17 +73,19 @@ class QuerySpec:
         return (self.predicate, self.group_cols, self.agg_col)
 
     def predicate_spark(self) -> Optional[Column]:
+        """The predicate as a Spark column: the conjunction that
+        ``predicate_sql`` renders, parsed by Spark."""
         if not self.predicate:
             return None
-        c = self.predicate[0].to_spark()
-        for p in self.predicate[1:]:
-            c = c & p.to_spark()
-        return c
+        from pyspark.sql import functions as F
+
+        return F.expr(self._conjunction())
 
     def predicate_sql(self) -> str:
-        if not self.predicate:
-            return ""
-        return " WHERE " + " AND ".join(p.to_sql() for p in self.predicate)
+        return " WHERE " + self._conjunction() if self.predicate else ""
+
+    def _conjunction(self) -> str:
+        return " AND ".join(p.to_sql() for p in self.predicate)
 
     def exact_sql(self) -> str:
         """SQL producing the exact decision, for the DuckDB oracle."""
@@ -146,7 +136,6 @@ def fq1(airport: str = "ORD", eps: float = 0.5) -> QuerySpec:
         stopping=RelWidth(eps=eps),
         predicate=(Eq("Origin", airport),),
         result_kind="avg_ci",
-        description=f"avg delay for {airport}",
         params={"airport": airport, "eps": eps},
     )
 
@@ -158,7 +147,6 @@ def fq2(thresh: float = 0.0) -> QuerySpec:
         stopping=Threshold(v=thresh),
         group_cols=("Airline",),
         result_kind="having_above",
-        description=f"airlines with avg delay above {thresh}",
         params={"thresh": thresh},
     )
 
@@ -171,7 +159,6 @@ def fq3(min_dep_time: int = 1370) -> QuerySpec:
         predicate=(Gt("DepTime", min_dep_time),),
         group_cols=("Airline",),
         result_kind="topk",
-        description="2 airlines with min avg delay after min_dep_time",
         params={"min_dep_time": min_dep_time},
     )
 
@@ -183,7 +170,6 @@ def fq4() -> QuerySpec:
         stopping=Threshold(v=10.0),
         predicate=(Eq("Origin", "ORD"),),
         result_kind="case_gt",
-        description="whether ORD has avg delay > 10",
     )
 
 
@@ -194,7 +180,6 @@ def fq5() -> QuerySpec:
         stopping=Threshold(v=0.0),
         group_cols=("Origin",),
         result_kind="having_below",
-        description="airports with negative avg departure delay",
     )
 
 
@@ -206,7 +191,6 @@ def fq6() -> QuerySpec:
         predicate=(Gt("DepTime", 830),),  # 1:50pm
         group_cols=("DayOfWeek", "Origin"),
         result_kind="topk",
-        description="5 worst days for afternoon delays across airports",
     )
 
 
@@ -218,7 +202,6 @@ def fq7() -> QuerySpec:
         predicate=(Eq("Airline", "HP"),),
         group_cols=("DayOfWeek",),
         result_kind="ordered",
-        description="avg delay by day of week for airline HP",
     )
 
 
@@ -229,7 +212,6 @@ def fq8() -> QuerySpec:
         stopping=TopK(k=1, largest=True),
         group_cols=("Origin",),
         result_kind="topk",
-        description="origin airport with highest departure delay",
     )
 
 
@@ -240,7 +222,6 @@ def fq9() -> QuerySpec:
         stopping=TopK(k=1, largest=True),
         group_cols=("Airline",),
         result_kind="topk",
-        description="airline with maximum avg delay",
     )
 
 

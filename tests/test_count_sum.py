@@ -6,14 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.count_sum import (
-    ALPHA,
-    count_ci,
-    n_plus,
-    selectivity_ci,
-    selectivity_eps,
-    sum_ci,
-)
+from repro.core.bounders import HoeffdingSerfling
+from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
+from repro.core.stats import GroupStats
 
 
 def test_alpha_matches_paper():
@@ -21,17 +16,20 @@ def test_alpha_matches_paper():
 
 
 def test_selectivity_eps_formula():
+    """Lemma 5's selectivity half-width: the unclipped COUNT CI's, over R."""
     r, R, delta = 1000, 100_000, 0.01
     rho = 1 - (r - 1) / R
     expected = np.sqrt(np.log(2 / delta) / (2 * r) * rho)
-    assert float(selectivity_eps(r, R, delta)) == pytest.approx(expected)
+    lo, hi = count_ci(300, r, R, delta)
+    assert float(hi - lo) / (2 * R) == pytest.approx(expected)
 
 
 def test_selectivity_ci_clipped():
-    lo, hi = selectivity_ci(0, 10, 1000, 0.5)
+    """The selectivity interval, COUNT CI over R, is clipped to [0, 1]."""
+    lo, hi = count_ci(0, 10, 1000, 0.5)
     assert float(lo) == 0.0
-    lo, hi = selectivity_ci(10, 10, 1000, 0.5)
-    assert float(hi) == 1.0
+    lo, hi = count_ci(10, 10, 1000, 0.5)
+    assert float(hi) == 1000.0
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.1])
@@ -46,17 +44,37 @@ def test_selectivity_coverage_hypergeometric(delta):
     for _ in range(trials):
         perm = rng.permutation(R)[:500]  # scan prefix of a fresh scramble
         m_v = int(membership[perm].sum())
-        lo, hi = selectivity_ci(m_v, 500, R, delta)
-        if not (lo <= sigma_true <= hi):
+        lo, hi = count_ci(m_v, 500, R, delta)
+        if not (lo / R <= sigma_true <= hi / R):
             failures += 1
     assert failures / trials <= delta
 
 
 def test_count_ci_scales_selectivity():
-    lo, hi = count_ci(50, 1000, 100_000, 0.01)
-    slo, shi = selectivity_ci(50, 1000, 100_000, 0.01)
-    assert float(lo) == pytest.approx(float(slo) * 100_000)
-    assert float(hi) == pytest.approx(float(shi) * 100_000)
+    r, R, delta = 1000, 100_000, 0.01
+    eps = np.sqrt(np.log(2 / delta) / (2 * r) * (1 - (r - 1) / R))
+    lo, hi = count_ci(300, r, R, delta)
+    assert float(lo) == pytest.approx((300 / r - eps) * R)
+    assert float(hi) == pytest.approx((300 / r + eps) * R)
+
+
+def test_count_ci_is_algorithm_1_on_membership():
+    """Lemma 5 is Algorithm 1 on the 0/1 view-membership column: the COUNT
+    CI is, byte for byte, ``R`` times the streaming Hoeffding-Serfling CI
+    of ``m_v`` ones among ``r`` values over ``[0, 1]`` with ``N = R``."""
+    hs = HoeffdingSerfling()
+    cells = 0
+    for R in (50, 240_000):
+        for r in (1, 2, 3, 25, 49):
+            for m_v in range(r + 1):
+                state = GroupStats(m=r, total=float(m_v), total_sq=float(m_v))
+                for delta in (0.9, 1e-3, 6e-18):
+                    lo, hi = hs.ci(state, 0.0, 1.0, R, delta)
+                    want = np.array([R * lo, R * hi])
+                    got = np.concatenate(count_ci(np.array([m_v]), r, R, delta))
+                    assert got.tobytes() == want.tobytes(), (R, r, m_v, delta)
+                    cells += 1
+    assert cells == 2 * 85 * 3
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-10])
@@ -162,7 +180,6 @@ def _sum_grid_digest():
 #: The grids' digests, pinned: COUNT/SUM results are pinned byte for
 #: byte, so a rewrite of these formulas must keep their bytes.
 GRID_DIGESTS = {
-    "selectivity_ci": "80193299baa2b1b68a0178baa56b7aad79603ca53682fa8028558089c97890e3",
     "count_ci": "6211e7f1b4320f8b610da84da05ee8525c96e8bfb953d0c1cfbec175e017a18e",
     "n_plus": "f312bd4c0b826e63dd7d759ef11fdd41ad8a0933993649cdc1ec233756be0428",
     "sum_ci": "ac0175667b4d38fbfb5369c71edd482c857634f2ae0e73d6e69d0dc41adb0d2d",
@@ -172,7 +189,6 @@ GRID_DIGESTS = {
 @pytest.mark.parametrize(
     "name, fn",
     [
-        ("selectivity_ci", selectivity_ci),
         ("count_ci", count_ci),
         ("n_plus", lambda m, r, R, d: (n_plus(m, r, R, d),)),
     ],

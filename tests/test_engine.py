@@ -301,7 +301,7 @@ def test_unknown_strategy_raises(scramble, monkeypatch):
         with pytest.raises(ValueError):
             run_query(scramble, Q.fq9(), _cfg(round_rows=round_rows))
     with pytest.raises(ValueError):
-        run_count_sum(scramble, Q.fq1(), "SUM", delta=10.0)
+        run_count_sum(scramble, Q.fq1(), "SUM", _cfg(delta=10.0))
 
 
 def test_fq4_decision_value(scramble, flights_pdf):
@@ -345,9 +345,9 @@ def test_short_last_block_matches_duckdb(flights_pdf, spark):
     ).fetchone()
     con.close()
     for agg, truth in (("COUNT", count), ("SUM", total)):
-        r = run_count_sum(sc, view, agg, round_rows=250)
-        assert r.exhausted and r.rows_scanned == sc.n_rows
-        assert r.estimate == pytest.approx(truth, rel=1e-9)
+        r = run_count_sum(sc, view, agg, _cfg(round_rows=250))
+        assert r.exhausted_all and r.rows_scanned == sc.n_rows
+        assert r.est[0] == pytest.approx(truth, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -376,12 +376,12 @@ def test_block7_count_sum_exhaustive_equal_duckdb(block7_scramble, scramble):
             f"FROM flights{view.predicate_sql()}"
         ).fetchone()
         for agg, truth in (("COUNT", count), ("SUM", total)):
-            r = run_count_sum(sc, view, agg, round_rows=ROUND_ROWS)
-            assert r.exhausted and r.rows_scanned == sc.n_rows
+            r = run_count_sum(sc, view, agg, _cfg())
+            assert r.exhausted_all and r.rows_scanned == sc.n_rows
             # A float SUM depends on the order it adds in, which differs
             # from DuckDB's; a COUNT is exact.
             rel = 1e-12 if agg == "SUM" else 0
-            assert r.estimate == pytest.approx(truth, rel=rel, abs=0), (view.name, agg)
+            assert r.est[0] == pytest.approx(truth, rel=rel, abs=0), (view.name, agg)
     con.close()
 
 
@@ -402,7 +402,7 @@ def test_queries_run_without_spark(scramble, monkeypatch):
         return [
             run_query(scramble, make(), cfg) for make in Q.ALL_QUERIES.values()
         ] + [
-            run_count_sum(scramble, v, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
+            run_count_sum(scramble, v, agg, _cfg(), rel_eps=0.05)
             for v in views
             for agg in ("COUNT", "SUM")
         ]
@@ -452,7 +452,7 @@ def test_queries_leave_shared_index_unchanged(scramble):
             run_query(scramble, make(), _cfg(strategy=strategy))
     for view in _views():
         for agg in ("COUNT", "SUM"):
-            run_count_sum(scramble, view, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
+            run_count_sum(scramble, view, agg, _cfg(), rel_eps=0.05)
 
     assert set(scramble.bitmaps) == set(BITMAP_COLUMNS)
     for bm in scramble.bitmaps.values():
@@ -503,9 +503,9 @@ def test_count_sum_on_absent_value_is_zero(scramble):
         ).fetchone()
         assert (count, total) == (0, None)  # SQL's SUM over no rows is NULL
         for agg in ("COUNT", "SUM"):
-            r = run_count_sum(scramble, spec, agg, round_rows=ROUND_ROWS, rel_eps=0.05)
-            assert r.exhausted and r.m == 0
-            assert r.estimate == r.lo == r.hi == 0.0
+            r = run_count_sum(scramble, spec, agg, _cfg(), rel_eps=0.05)
+            assert r.exhausted_all and r.m[0] == 0
+            assert r.est[0] == r.lo[0] == r.hi[0] == 0.0
     con.close()
 
 
@@ -513,7 +513,7 @@ def test_count_sum_on_absent_value_is_zero(scramble):
 def test_count_sum_are_run_query_result_kinds(scramble, agg):
     """COUNT/SUM run in run_query's loop: an unskipped scan even under an
     indexable predicate and an active strategy; early-stopped intervals
-    enclose DuckDB's value; run_count_sum reads the same run."""
+    enclose DuckDB's value; run_count_sum returns the same run."""
     flights = flights_pandas(scramble)
     view = dataclasses.replace(Q.fq1(), group_cols=(), stopping=Q.RelWidth(0.5))
     spec = dataclasses.replace(view, result_kind=agg.lower())
@@ -530,10 +530,8 @@ def test_count_sum_are_run_query_result_kinds(scramble, agg):
     assert res.blocks_fetched == scramble.n_blocks
     assert res.exhausted_all and res.est[0] == res.lo[0] == res.hi[0]
     assert res.est[0] == pytest.approx(truth, rel=1e-9)
-    cs = run_count_sum(scramble, view, agg, round_rows=ROUND_ROWS)
-    assert (cs.estimate, cs.lo, cs.hi, cs.m) == (
-        res.est[0], res.lo[0], res.hi[0], res.m[0]
-    )
-    assert (cs.blocks_fetched, cs.rows_scanned, cs.rounds, cs.exhausted) == (
-        res.blocks_fetched, res.rows_scanned, res.rounds, res.exhausted_all
-    )
+    cs = run_count_sum(scramble, view, agg, _cfg())
+    for f in dataclasses.fields(res):
+        if f.name != "wall_seconds":
+            a, b = getattr(res, f.name), getattr(cs, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b

@@ -1,6 +1,7 @@
 """Layering guards: the CI formulas, the data generator, the scramble,
 the engine and Table 2 need no Spark, the scan engine holds the only
-round loop, and every module has a caller outside the tests.
+round loop, every module has a caller outside the tests, and every name
+the benchmark's tracer wraps is bound on its owner.
 
 Every ``repro.core`` and ``repro.fastframe`` module (the scramble and
 its column store, the catalog, the bitmaps, the queries, the engine and
@@ -77,3 +78,18 @@ def test_every_module_has_a_caller_outside_tests():
     }
     assert "repro.core.vectorized" in modules
     assert modules - imported == {"repro.oracle"}
+
+
+def test_traced_names_are_bound_on_their_owners():
+    """The benchmark's tracer replaces each ``(owner, attr)`` it wraps
+    through ``vars(owner)``: every name must be bound on the owner itself,
+    not inherited and not dropped as unused. No Spark is started."""
+    from perfbench import spark_workloads
+
+    pairs = spark_workloads.layer_wrappers() + spark_workloads.bounder_wrappers()
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _ in pairs
+        if attr not in vars(owner)
+    ]
+    assert not missing, missing

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import duckdb
+import numpy as np
 import pytest
 
 from repro.core.stopping import Ordered, RelWidth, Threshold, TopK
@@ -81,10 +82,16 @@ def test_predicate_sql_rendering():
     assert Q.Gt("DepTime", 830).to_sql() == "DepTime > 830"
 
 
-def test_predicate_spark_rendering(flights_df, flights_pdf):
-    spec = Q.fq1(airport="ORD")
-    n = flights_df.filter(spec.predicate_spark()).count()
-    assert n == (flights_pdf.Origin == "ORD").sum()
+@pytest.mark.parametrize(
+    "name", [n for n, make in sorted(Q.ALL_QUERIES.items()) if make().predicate]
+)
+def test_predicate_spark_rendering(name, flights_df, flights_pdf):
+    spec = Q.ALL_QUERIES[name]()
+    keep = np.ones(len(flights_pdf), dtype=bool)
+    for p in spec.predicate:
+        col = flights_pdf[p.col]
+        keep &= (col == p.value if isinstance(p, Q.Eq) else col > p.value).to_numpy()
+    assert flights_df.filter(spec.predicate_spark()).count() == keep.sum() > 0
 
 
 @pytest.mark.parametrize("name", sorted(Q.ALL_QUERIES))
