@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 
-import pyarrow as pa
-
 from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
-from repro.synth_data import flights_frame
+from repro.synth_data import flights_table
 
 
 def main() -> None:
@@ -23,14 +21,14 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    rows = pa.Table.from_pandas(
-        flights_frame(sf=args.sf, seed=args.seed), preserve_index=False
-    )
+    rows = flights_table(sf=args.sf, seed=args.seed)
     seed = args.seed + 1
     sc = scramble_from_store(build_store(shuffle(rows, seed)), seed=seed)
-    approx_bytes = sc.n_rows * 5 * 8  # 5 attributes, ~8B each
     print("Table 3 (analog) — FLIGHTS-lite dataset")
-    print(f"  size ~{approx_bytes / 2**20:.1f} MiB  #tuples {sc.n_rows:,}  #attributes 5")
+    print(
+        f"  size {rows.nbytes / 2**20:.1f} MiB (Arrow)  #tuples {sc.n_rows:,}"
+        f"  #attributes {rows.num_columns}"
+    )
     print(f"  scramble: {sc.n_blocks:,} blocks of {sc.block_size} rows (seed {sc.seed})")
     for col, (a, b) in sc.catalog.ranges.items():
         print(f"  catalog range bounds {col}: [{a}, {b}]")

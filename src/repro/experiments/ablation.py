@@ -19,10 +19,11 @@ reports every run as one row with the same columns (:data:`COLUMNS`):
   after round, so that a speedup compares runs made seconds apart: the
   host's speed drifts over minutes. The repeats must agree in every
   other result field.
-* ``spark_exact_s`` — the query's exact SQL on Spark over the scramble's
-  cached DataFrame: after one untimed warm-up, it runs once in each of
-  the engine runs' rounds, before the configs, and this is the median.
-  NaN where not measured.
+* ``spark_exact_s`` — the query's exact SQL on Spark over a cached
+  one-partition copy of the scramble's rows, so that Spark, like the
+  engine, runs on one core whatever the host's core count: after one
+  untimed warm-up, it runs once in each of the engine runs' rounds,
+  before the configs, and this is the median. NaN where not measured.
 * ``blocks``, ``rows_scanned``, ``rounds``, ``index_probes`` — cost
   accounting; ``speedup_blocks`` is the baseline's blocks over this
   run's, the scale-insensitive speedup.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -49,6 +50,9 @@ from repro.experiments.ground_truth import (
 from repro.fastframe.engine import EngineConfig, QueryResult, prepare, run_query
 from repro.fastframe.queries import ALL_QUERIES, QuerySpec
 from repro.fastframe.scramble import Scramble
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 COLUMNS = [
     "query",
@@ -69,17 +73,22 @@ COLUMNS = [
     "correct",
 ]
 TIMING_RUNS = 5
+#: Partitions of the rows Spark's exact SQL reads: one core, as the engine.
+EXACT_PARTITIONS = 1
 
 
-def spark_exact_run(scramble: Scramble, spec: QuerySpec) -> Callable[[], object]:
-    """The query's exact SQL on Spark as a call to time, warmed up once.
+def spark_exact_rows(scramble: Scramble) -> DataFrame:
+    """The scramble's rows in :data:`EXACT_PARTITIONS` cached partitions."""
+    rows = scramble.df.repartition(EXACT_PARTITIONS).persist()
+    rows.count()
+    return rows
 
-    The scramble's source DataFrame is persisted first, so that the
-    warm-up fills the cache and every timed run reads a cached DataFrame.
-    """
-    scramble.df.persist()
-    scramble.df.createOrReplaceTempView("flights")
-    run = scramble.df.sparkSession.sql(spec.exact_sql()).collect
+
+def spark_exact_run(rows: DataFrame, spec: QuerySpec) -> Callable[[], object]:
+    """The query's exact SQL on Spark over ``rows`` as a call to time,
+    warmed up once."""
+    rows.createOrReplaceTempView("flights")
+    run = rows.sparkSession.sql(spec.exact_sql()).collect
     run()
     return run
 
@@ -147,10 +156,11 @@ def run_ablation(
     for spec in specs:
         prepare(scramble, spec)
     flights = flights_pandas(scramble)
+    exact_rows = spark_exact_rows(scramble) if spark_exact else None
     rows: List[Dict] = []
     for name, spec in zip(queries, specs):
         truth = exact_decision(spec, flights)
-        reference = spark_exact_run(scramble, spec) if spark_exact else None
+        reference = spark_exact_run(exact_rows, spec) if spark_exact else None
         runs, spark_s = timed_runs(scramble, spec, configs, reference)
         base, base_e2e = next(iter(runs.values()))
         ref_e2e = spark_s if spark_exact else base_e2e
@@ -175,6 +185,8 @@ def run_ablation(
                     "correct": decision_correct(spec, res, truth),
                 }
             )
+    if exact_rows is not None:
+        exact_rows.unpersist()
     return pd.DataFrame(rows, columns=COLUMNS)
 
 

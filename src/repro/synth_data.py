@@ -3,15 +3,16 @@
 SF=1.0 is 6 M rows. Tests use SF<=0.01; the Table 5/6 job
 (``jobs/run_table56.py``) defaults to SF=0.6. The
 generator is deterministic in ``seed`` so the DuckDB oracle sees
-identical input. ``flights_frame`` draws the rows in pandas; ``flights``
-hands them to Spark, and is the only function here that needs pyspark.
+identical input. ``flights_table`` draws the rows with NumPy into an
+Arrow table, with no Python object per row; ``flights`` hands that
+table to Spark, and is the only function here that needs pyspark.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame, SparkSession
@@ -79,11 +80,11 @@ def _airport_table(rng: np.random.Generator):
 
 
 def flights(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    """:func:`flights_frame`'s rows as a Spark DataFrame."""
-    return spark.createDataFrame(flights_frame(sf=sf, seed=seed))
+    """:func:`flights_table`'s rows as a Spark DataFrame."""
+    return spark.createDataFrame(flights_table(sf=sf, seed=seed))
 
 
-def flights_frame(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
+def flights_table(*, sf: float = 0.01, seed: int = 7) -> pa.Table:
     """Synthetic FLIGHTS-lite table (paper Table 3 substitute).
 
     Columns mirror the attributes the paper extracts from the public
@@ -98,6 +99,10 @@ def flights_frame(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
     MIN/MAX) are therefore far wider than any one group's effective
     range, which is precisely the regime where the paper's PMA/PHOS
     pathologies bite and RangeTrim pays off.
+
+    The string columns are Arrow ``take``s of the code lists, and
+    DepDelay is summed in place, term by term as drawn: no Python
+    string per row, and one row-length float temporary at a time.
     """
     n = max(1, int(_N_FLIGHTS_PER_SF * sf))
     g = _rng(seed)
@@ -105,42 +110,47 @@ def flights_frame(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
     air_w = np.array([w for _, w, _, _ in FLIGHT_AIRLINES])
     air_w = air_w / air_w.sum()
     air_idx = g.choice(len(FLIGHT_AIRLINES), n, p=air_w)
-    air_base = np.array([b for _, _, b, _ in FLIGHT_AIRLINES])[air_idx]
-    air_slope = np.array([s for _, _, _, s in FLIGHT_AIRLINES])[air_idx]
-    airline = np.array([c for c, _, _, _ in FLIGHT_AIRLINES])[air_idx]
+    airline = pa.array([c for c, _, _, _ in FLIGHT_AIRLINES]).take(air_idx)
+    delay = np.array([b for _, _, b, _ in FLIGHT_AIRLINES])[air_idx]
 
     codes, ap_w, ap_off = _airport_table(_rng(seed + 1))
     ap_idx = g.choice(_N_AIRPORTS, n, p=ap_w)
-    origin = np.array(codes)[ap_idx]
+    origin = pa.array(codes).take(ap_idx)
+    delay += ap_off[ap_idx]
+    del ap_idx
 
     dow = g.integers(1, 8, n)
-    dow_eff = np.array([0.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0])[dow]
+    delay += np.array([0.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0])[dow]
 
     dep_time = g.integers(300, 1440, n)  # 05:00 .. 23:59
-    t_frac = (dep_time - 300.0) / 1140.0
+    # The departure-time slope, air_slope * (t_frac - 0.5) * 2.0.
+    term = dep_time - 300.0
+    term /= 1140.0
+    term -= 0.5
+    term *= np.array([s for _, _, _, s in FLIGHT_AIRLINES])[air_idx]
+    term *= 2.0
+    delay += term
+    del air_idx
 
-    noise = g.normal(0.0, 18.0, n)
+    delay += g.normal(0.0, 18.0, n)
     # Rare heavy tail, truncated at +600: stretches the catalog MAX far
     # beyond any group's effective range without making per-group means
     # unestimable at reproduction scale.
-    outlier = (g.random(n) < 5e-5) * np.minimum(g.exponential(180.0, n), 600.0)
-    delay = (
-        air_base
-        + ap_off[ap_idx]
-        + dow_eff
-        + air_slope * (t_frac - 0.5) * 2.0
-        + noise
-        + outlier
-    )
-    delay = np.maximum(delay, FLIGHT_DELAY_MIN).round(2)
+    hit = g.random(n) < 5e-5
+    g.standard_exponential(out=term)  # g.exponential(180.0, n)'s draws, in place
+    term *= 180.0
+    np.minimum(term, 600.0, out=term)
+    term *= hit
+    delay += term
+    np.maximum(delay, FLIGHT_DELAY_MIN, out=delay)
+    np.round(delay, 2, out=delay)
 
-    return pd.DataFrame(
+    return pa.table(
         {
             "Origin": origin,
             "Airline": airline,
             "DepDelay": delay,
-            "DepTime": dep_time.astype("int64"),
-            "DayOfWeek": dow.astype("int64"),
+            "DepTime": dep_time,
+            "DayOfWeek": dow,
         }
     )
-

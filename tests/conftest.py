@@ -3,8 +3,8 @@
 Everything heavy is session-scoped: one tiny FLIGHTS table (SF=0.005,
 ~30K rows) and one scramble built from it, reused by the catalog /
 scramble / bitmap / engine / query tests. The root conftest provides
-the SparkSession fixture. ``frame_scramble`` builds a scramble of a
-pandas frame's rows without Spark.
+the SparkSession fixture. ``frame_scramble`` builds a scramble of an
+Arrow table's rows without Spark.
 """
 from __future__ import annotations
 
@@ -12,15 +12,14 @@ import pyarrow as pa
 import pytest
 
 from repro.fastframe.scramble import build_scramble, build_store, scramble_from_store
-from repro.synth_data import flights, flights_frame
+from repro.synth_data import flights, flights_table
 
 TEST_SF = 0.005
 TEST_SEED = 7
 
 
-def frame_scramble(pdf, **kw):
-    """A scramble of ``pdf``'s rows in their order, built without Spark."""
-    table = pa.Table.from_pandas(pdf, preserve_index=False)
+def frame_scramble(table: pa.Table, **kw):
+    """A scramble of ``table``'s rows in their order, built without Spark."""
     return scramble_from_store(build_store(table), **kw)
 
 
@@ -33,9 +32,15 @@ def flights_df(spark):
 
 
 @pytest.fixture(scope="session")
-def flights_pdf():
+def flights_rows():
     """``flights_df``'s rows, as the generator draws them."""
-    return flights_frame(sf=TEST_SF, seed=TEST_SEED)
+    return flights_table(sf=TEST_SF, seed=TEST_SEED)
+
+
+@pytest.fixture(scope="session")
+def flights_pdf(flights_rows):
+    """``flights_rows`` as pandas, strings as ``object``."""
+    return flights_rows.to_pandas()
 
 
 @pytest.fixture(scope="session")

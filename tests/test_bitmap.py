@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.stopping import Ordered
@@ -108,15 +108,16 @@ def _sparse_pairs(n=203, seed=5):
     origin = np.array(["AAA", "BBB", "CCC", "DDD", "EEE"])[
         (day + rng.integers(0, 2, n) * 2) % 5
     ]
-    return pd.DataFrame(
+    return pa.table(
         {"DayOfWeek": day, "Origin": origin, "DepDelay": rng.normal(0, 9, n)}
     )
 
 
 def test_pair_domain_with_absent_pairs():
     """Key pairs that never occur get no group, and rows map to their pair."""
-    pdf = _sparse_pairs()
-    sc = frame_scramble(pdf, block_size=10)
+    rows = _sparse_pairs()
+    sc = frame_scramble(rows, block_size=10)
+    pdf = rows.to_pandas()
     groups, gid, matrix = group_bitmap_matrix(sc, ("DayOfWeek", "Origin"))
     pairs = pdf[["DayOfWeek", "Origin"]].drop_duplicates()
     expected = sorted(pairs.itertuples(index=False, name=None))
@@ -132,8 +133,9 @@ def test_pair_domain_with_absent_pairs():
 
 def test_pair_groupby_with_absent_pairs_is_exact():
     """F-q6's GROUP BY through the engine on a sparse key domain."""
-    pdf = _sparse_pairs()
-    sc = frame_scramble(pdf, block_size=10)
+    rows = _sparse_pairs()
+    sc = frame_scramble(rows, block_size=10)
+    pdf = rows.to_pandas()
     spec = QuerySpec(
         name="pairs",
         stopping=Ordered(),
@@ -157,7 +159,7 @@ def test_presence_short_last_block(n_rows):
     rng = np.random.default_rng(n_rows)
     codes = rng.integers(0, 5, n_rows).astype(np.intp)
     codes[-1] = 5  # a code only the last row holds
-    sc = frame_scramble(pd.DataFrame({"x": np.zeros(n_rows)}), block_size=10)
+    sc = frame_scramble(pa.table({"x": np.zeros(n_rows)}), block_size=10)
     matrix = _presence(sc, codes, 6)
     want = np.zeros((sc.n_blocks, 6), dtype=bool)
     want[np.arange(n_rows) // 10, codes] = True

@@ -16,7 +16,6 @@ import dataclasses
 import duckdb
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pytest
 
 from repro.core.stopping import WidthTarget
@@ -32,7 +31,7 @@ from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
 from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
 from repro.oracle import assert_equivalent
-from repro.synth_data import flights_frame
+from repro.synth_data import flights_table
 from tests.conftest import frame_scramble
 
 ROUND_ROWS = 2_000  # small rounds so tiny test data still exercises OptStop
@@ -155,8 +154,7 @@ def test_view_size_bound_holds_under_active_scanning(monkeypatch):
     blocks. F-q5 under ActivePeek at delta = 0.5, from 40 start blocks
     of a scramble built without Spark: here Theorem 3's ``N+`` from the
     biased sample falls below a view's size in about one run in five."""
-    rows = pa.Table.from_pandas(flights_frame(sf=0.05, seed=11), preserve_index=False)
-    sc = scramble_from_store(build_store(shuffle(rows, 12)))
+    sc = scramble_from_store(build_store(shuffle(flights_table(sf=0.05, seed=11), 12)))
     spec = Q.fq5()
     prep = prepare(sc, spec)
     view_size = np.bincount(prep.gid[prep.rows], minlength=len(prep.groups))
@@ -317,13 +315,12 @@ def test_fq4_decision_value(scramble, flights_pdf):
 SHORT_TAIL_ROWS = 1_013  # 40 full blocks and one of 13 rows
 
 
-def test_short_last_block_matches_duckdb(flights_pdf, spark):
+def test_short_last_block_matches_duckdb(flights_rows, spark):
     # The first tier-1 rows, shuffled, scrambled without Spark; DuckDB's
     # truth comes from the same rows.
-    flights = flights_pdf.head(SHORT_TAIL_ROWS).sample(
-        frac=1.0, random_state=3, ignore_index=True
-    )
-    sc = frame_scramble(flights, seed=3)
+    rows = shuffle(flights_rows.slice(0, SHORT_TAIL_ROWS), 3)
+    sc = frame_scramble(rows, seed=3)
+    flights = rows.to_pandas()
     assert sc.n_rows == SHORT_TAIL_ROWS and sc.rows_per_block[-1] == 13
 
     spec = Q.fq9()

@@ -199,17 +199,13 @@ def _main():
         help="print, per stored field, how many runs differ from the file; write nothing",
     )
     opts = ap.parse_args()
-    import pyarrow as pa
-
     from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
-    from repro.synth_data import flights_frame
+    from repro.synth_data import flights_table
     from tests.conftest import TEST_SEED, TEST_SF
 
     # The tier-1 scramble, built without Spark: the same store as the
     # ``scramble`` fixture's (test_scramble's Spark-build check).
-    rows = pa.Table.from_pandas(
-        flights_frame(sf=TEST_SF, seed=TEST_SEED), preserve_index=False
-    )
+    rows = flights_table(sf=TEST_SF, seed=TEST_SEED)
     scramble = scramble_from_store(
         build_store(shuffle(rows, TEST_SEED + 1)), seed=TEST_SEED + 1
     )

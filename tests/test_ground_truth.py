@@ -12,7 +12,7 @@ from repro.experiments.ground_truth import (
 )
 from repro.fastframe import queries as Q
 from repro.fastframe.engine import QueryResult
-from repro.synth_data import flights_frame
+from repro.synth_data import flights_table
 from tests.conftest import frame_scramble
 
 
@@ -52,8 +52,9 @@ def tiny_flights():
 
 def test_truth_of_a_scramble_built_without_spark():
     """A scramble built without Spark takes its truth from its store's rows."""
-    flights = flights_frame(sf=0.0005, seed=1)
+    flights = flights_table(sf=0.0005, seed=1)
     rows = flights_pandas(frame_scramble(flights))
+    flights = flights.to_pandas()
     for name, make in Q.ALL_QUERIES.items():
         spec = make()
         assert exact_decision(spec, rows) == exact_decision(spec, flights), name

@@ -54,11 +54,10 @@ def test_scramble_deterministic_in_seed(flights_df):
     _assert_same_store(s1.store, s2.store)
 
 
-def test_spark_build_equals_numpy_shuffle(scramble, flights_pdf):
+def test_spark_build_equals_numpy_shuffle(scramble, flights_rows):
     """The Spark build is the generator's rows, shuffled and coded
     without Spark: the same store, catalog and blocks."""
-    rows = pa.Table.from_pandas(flights_pdf, preserve_index=False)
-    sc = scramble_from_store(build_store(shuffle(rows, scramble.seed)))
+    sc = scramble_from_store(build_store(shuffle(flights_rows, scramble.seed)))
     _assert_same_store(sc.store, scramble.store)
     assert sc.catalog == scramble.catalog
     assert (sc.n_rows, sc.n_blocks) == (scramble.n_rows, scramble.n_blocks)
@@ -114,7 +113,7 @@ def test_store_matches_scramble_rows(scramble, flights_pdf):
 def test_scramble_without_spark_equals_spark_build(scramble):
     """The Spark scramble's rows, decoded from its store in order and
     built without Spark, give the same store, catalog and blocks."""
-    sc = frame_scramble(flights_pandas(scramble), seed=scramble.seed)
+    sc = frame_scramble(pa.table(flights_pandas(scramble)), seed=scramble.seed)
     assert sc.df is None
     _assert_same_store(sc.store, scramble.store)
     assert sc.catalog == scramble.catalog

@@ -200,6 +200,13 @@ def test_spark_reference_runs_in_every_round(scramble, monkeypatch):
 
 
 def test_spark_reference_reads_a_cached_copy(scramble):
-    scramble.df.unpersist(blocking=True)
-    ablation.spark_exact_run(scramble, Q.fq9())
-    assert scramble.df.storageLevel.useMemory
+    """Spark's exact SQL reads a cached one-partition copy of the rows,
+    so it runs on one core, as the engine does, on any host."""
+    rows = ablation.spark_exact_rows(scramble)
+    try:
+        assert rows.storageLevel.useMemory
+        assert rows.rdd.getNumPartitions() == 1
+        assert rows.count() == scramble.n_rows
+        assert ablation.spark_exact_run(rows, Q.fq9())()
+    finally:
+        rows.unpersist()
