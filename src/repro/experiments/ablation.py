@@ -8,8 +8,9 @@ reports every run as one row with the same columns (:data:`COLUMNS`):
   one masked ``bincount``. ``speedup_wall`` is the baseline's ``wall_s``
   over this one: a *loop-only* speedup.
 * ``e2e_s`` — the whole ``run_query`` call timed by the harness, the
-  query's prep from the column store included. The column bitmaps are
-  built before the grid, as offline artifacts. ``speedup_e2e`` is an
+  query's prep from the column store included. The bitmap indexes,
+  each column's and each GROUP BY's with its counts, are built once per
+  scramble before the grid, as offline artifacts. ``speedup_e2e`` is an
   *end-to-end* speedup: the reference end-to-end time over ``e2e_s``.
   The reference is ``spark_exact_s`` where it is measured (Table 5),
   else the baseline run's ``e2e_s``.
@@ -151,8 +152,9 @@ def run_ablation(
     end-to-end reference, in the same rounds as the engine runs.
     """
     specs = [ALL_QUERIES[name]() for name in queries]
-    # One untimed prep per query builds the column bitmaps it reads: they
-    # are offline artifacts, like the scramble, so no e2e_s includes one.
+    # One untimed prep per query builds the bitmap indexes it reads (its
+    # columns' and its GROUP BY's): they are per-scramble artifacts, like
+    # the scramble, so no e2e_s includes one.
     for spec in specs:
         prepare(scramble, spec)
     flights = flights_pandas(scramble)

@@ -30,16 +30,20 @@ query (``bounder="exact"``) runs no loop: it is one masked ``bincount``
 over the rows of the predicate-eligible blocks.
 
 A query's prep (``prepare``) reads the scramble's driver-resident
-column store and its column bitmap indexes: the predicate's row mask
-and eligible blocks (an ``Eq``'s both from one lookup of its value in
-its column's index), each row's group and the group bitmaps, all in
-NumPy and without a sort. A one-column GROUP BY takes its groups, row
-ids and bitmaps from the column's index as they are; a composite one
-builds them with one ``bincount`` and one scatter. Group ids are
-``intp``, as the store's string codes are, so ``bincount`` and
-``ufunc.at`` index with them without a cast. The group bitmaps are one
-block-major matrix ``[n_blocks, n_groups]``; a scan over every block
-reads it without a copy. Each round then reads the picked blocks' rows
+column store and its bitmap indexes: the predicate's row mask and
+eligible blocks (an ``Eq``'s both from one lookup of its value in its
+column's index), all in NumPy and without a sort, and the GROUP BY's
+index (``bitmap.group_bitmap_matrix``). That index is a per-scramble
+artifact, built once: a one-column GROUP BY's is the column's own, a
+composite key's is cached in the scramble, and so is the one view's
+of a query with no GROUP BY. Its keys are the groups, its codes each
+row's group and its block-major matrix ``[n_blocks, n_groups]`` the
+group bitmaps, with their counts per group and per block. Group ids
+are ``intp``, as the store's string codes are, so ``bincount`` and
+``ufunc.at`` index with them without a cast. A scan over every block
+reads the matrix without a copy, and starts its per-group and per-block
+counts from copies of the index's counts, so no query sums a whole
+matrix. Each round then reads the picked blocks' rows
 (block ``b`` is rows ``[b*block_size, (b+1)*block_size)``, one row of a
 read-only ``[n_blocks, block_size]`` view): a pick of consecutive blocks,
 as every COUNT/SUM round and most rounds of a query that reads most
@@ -83,7 +87,12 @@ from repro.core import vectorized
 from repro.core.count_sum import ALPHA, count_ci, n_plus, sum_ci
 from repro.core.optstop import RunningIntersection, round_delta
 from repro.core.stopping import Threshold, TopK
-from repro.fastframe.bitmap import get_column_bitmap, group_bitmap_matrix
+from repro.fastframe.bitmap import (
+    ColumnBitmap,
+    count_ones,
+    get_column_bitmap,
+    group_bitmap_matrix,
+)
 from repro.fastframe.queries import Eq, QuerySpec
 from repro.fastframe.scramble import Scramble
 
@@ -121,14 +130,19 @@ class EngineConfig:
 class Prep:
     """Bounder/strategy-independent per-query artifacts."""
 
-    groups: List[Tuple]
-    gmatrix: np.ndarray  # bool [B, G] — group presence per block
+    #: the GROUP BY's index (the scramble's, shared): its keys are the
+    #: groups, its codes each row's group (None for the one view of no
+    #: GROUP BY), its matrix ``[B, G]`` group presence per block
+    index: ColumnBitmap
     static_mask: np.ndarray  # bool [B] — predicate-eligible blocks
     rows: np.ndarray  # bool [R] — rows satisfying the predicate
-    gid: Optional[np.ndarray]  # intp [R] — each row's group; None for one view
     values: np.ndarray  # float [R] — the measure column, in row order
     a: float
     b: float
+
+    @property
+    def groups(self) -> List[Tuple]:
+        return self.index.keys
 
 
 @dataclass
@@ -171,12 +185,6 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
     a, b = scramble.catalog.bounds(spec.agg_col)
     store = scramble.store
 
-    if spec.group_cols:
-        groups, gid, gmatrix = group_bitmap_matrix(scramble, spec.group_cols)
-    else:
-        groups, gid = [()], None
-        gmatrix = np.ones((scramble.n_blocks, 1), dtype=bool)
-
     static = np.ones(scramble.n_blocks, dtype=bool)
     rows = np.ones(scramble.n_rows, dtype=bool)
     for p in spec.predicate:
@@ -192,11 +200,9 @@ def prepare(scramble: Scramble, spec: QuerySpec) -> Prep:
             rows &= store.columns[p.col] > p.value
 
     return Prep(
-        groups=groups,
-        gmatrix=gmatrix,
+        index=group_bitmap_matrix(scramble, spec.group_cols),
         static_mask=static,
         rows=rows,
-        gid=gid,
         values=store.columns[spec.agg_col].astype(np.float64, copy=False),
         a=float(a),
         b=float(b),
@@ -274,11 +280,15 @@ class _Scan:
     the number of its blocks in ``todo`` (``remaining``; 0 means
     exhausted) and, under an active strategy, per block the number of
     active groups (``live``). Both counts are sums over the block-major
-    group matrix, read as ``uint8``: after the first round, a round reads
-    only the rows of the blocks it fetches and the columns of the groups
-    whose active bit flipped. One group's column is all ones (its view is
-    in every block), so its ``remaining`` is the eligible blocks less the
-    blocks fetched, with no read of the matrix.
+    group matrix, read as ``uint8``, and both start from the GROUP BY
+    index's counts, computed once per scramble: ``remaining`` from a copy
+    of its ``block_counts`` when every block is eligible (no ``Eq``; with
+    one, from the eligible blocks' rows), and ``live``, as every group
+    starts active, from a copy of its ``values_per_block``. So a round
+    reads only the rows of the blocks it fetches and the columns of the
+    groups whose active bit flipped. One group's column is all ones (its
+    view is in every block), so its ``remaining`` is the eligible blocks
+    less the blocks fetched, with no read of the matrix.
 
     The fold reads ``gid``, ``values`` and the predicate's row mask as
     read-only ``[n_blocks, block_size]`` arrays, one row per block, and
@@ -300,17 +310,18 @@ class _Scan:
         self, scramble: Scramble, prep: Prep, eligible, start_block, batch,
         count_only=False,
     ):
-        B, G = scramble.n_blocks, len(prep.groups)
+        index = self.index = prep.index
+        B, G = scramble.n_blocks, len(index.values)
         bs = self.block_size = scramble.block_size
         self.short = B * bs - scramble.n_rows  # rows missing from block B-1
         self.count_only = count_only
-        self.gid = _by_block(prep.gid, B, bs, 0) if G > 1 else None
+        self.gid = _by_block(index.codes, B, bs, 0) if G > 1 else None
         self.values = _by_block(prep.values, B, bs, 0.0)
         self.rows = None
         if self.short or not prep.rows.all():
             self.rows = _by_block(prep.rows, B, bs, False)
-        self.g8 = prep.gmatrix.view(np.uint8)
-        self.g8.flags.writeable = False  # a view of the prep's matrix
+        self.g8 = index.matrix.view(np.uint8)
+        self.g8.flags.writeable = False  # a view of the index's matrix
         self.todo = eligible.copy()
         self.live = None  # None under Scan
         self.active = None
@@ -326,22 +337,26 @@ class _Scan:
         if G == 1:
             # The one view is in every block: count the eligible blocks.
             self.remaining = np.array([np.count_nonzero(eligible)])
+        elif eligible.all():
+            # No Eq predicate: each group's blocks, counted with the index.
+            self.remaining = index.block_counts.copy()
         else:
-            # Every block eligible (no Eq predicate): read the matrix as it is.
-            g8 = self.g8 if eligible.all() else self.g8[eligible]
-            self.remaining = _count(g8, axis=0)
+            self.remaining = count_ones(self.g8[eligible], axis=0)
 
     def set_active(self, active) -> None:
         """Update ``live`` from the groups whose active bit flipped."""
         g8 = self.g8
         if self.live is None:
-            self.live = _count(g8 if active.all() else g8[:, active], axis=1)
+            if active.all():  # as in ``run_query``'s first round
+                self.live = self.index.values_per_block.copy()
+            else:
+                self.live = count_ones(g8[:, active], axis=1)
         else:
             on, off = active & ~self.active, self.active & ~active
             if on.any():
-                self.live += _count(g8[:, on], axis=1)
+                self.live += count_ones(g8[:, on], axis=1)
             if off.any():
-                self.live -= _count(g8[:, off], axis=1)
+                self.live -= count_ones(g8[:, off], axis=1)
         self.active = active.copy()
         self.n_active = int(np.count_nonzero(active))
 
@@ -362,7 +377,7 @@ class _Scan:
         if self.remaining.size == 1:
             self.remaining -= picked.size
         else:
-            self.remaining -= _count(_blocks(self.g8, sel), axis=0)
+            self.remaining -= count_ones(_blocks(self.g8, sel), axis=0)
         self.rows_scanned += int(picked.size) * self.block_size
         if self.short and (picked == self.todo.size - 1).any():
             self.rows_scanned -= self.short
@@ -432,19 +447,6 @@ def _by_block(a, n_blocks, block_size, pad):
     a = a.reshape(n_blocks, block_size)
     a.flags.writeable = False
     return a
-
-
-def _count(m8, axis):
-    """Sums of a 0/1 ``uint8`` matrix along ``axis``, as ``int32``.
-
-    Runs of up to 255 entries are summed in ``uint8`` first: such a sum
-    cannot overflow, and needs no cast, which makes it ~3x faster.
-    """
-    m8 = np.moveaxis(m8, axis, -1)
-    n = m8.shape[-1] // 255 * 255
-    runs = m8[..., :n].reshape(*m8.shape[:-1], -1, 255)
-    head = runs.sum(axis=-1, dtype=np.uint8).sum(axis=-1, dtype=np.int32)
-    return head + m8[..., n:].sum(axis=-1, dtype=np.uint8)
 
 
 def run_query(
@@ -549,7 +551,7 @@ def _run_exact(scramble, spec, config, prep, eligible) -> QueryResult:
     R, G = scramble.n_rows, len(prep.groups)
     in_blocks = np.repeat(eligible, scramble.block_size)[:R]
     rows = in_blocks & prep.rows
-    g = prep.gid[rows] if G > 1 else np.zeros(np.count_nonzero(rows), np.int64)
+    g = prep.index.codes[rows] if G > 1 else np.zeros(np.count_nonzero(rows), np.int64)
     m = np.bincount(g, minlength=G).astype(np.float64)
     tot = np.bincount(g, weights=prep.values[rows], minlength=G)
     est = _estimate(spec.result_kind, m, tot, R, R, True, np.nan)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import pyarrow as pa
@@ -89,8 +89,12 @@ class Scramble:
     n_blocks: int
     catalog: Catalog
     seed: int
-    #: the column bitmap indexes, each built once (``bitmap.get_column_bitmap``)
-    bitmaps: Dict[str, ColumnBitmap] = field(default_factory=dict)
+    #: the bitmap indexes, each built once: a column's under its name
+    #: (``bitmap.get_column_bitmap``), a GROUP BY's composite key's, and the
+    #: one view's, under their column tuples (``bitmap.group_bitmap_matrix``)
+    bitmaps: Dict[Union[str, Tuple[str, ...]], ColumnBitmap] = field(
+        default_factory=dict
+    )
 
     @property
     def rows_per_block(self) -> np.ndarray:

@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.stopping import Ordered
 from repro.experiments.ground_truth import flights_pandas
+from repro.fastframe import bitmap
 from repro.fastframe.bitmap import (
     _presence,
     build_column_bitmap,
+    build_group_bitmap,
     get_column_bitmap,
     group_bitmap_matrix,
     group_domain,
@@ -64,23 +66,24 @@ def test_single_column_row_groups(scramble, column):
     pdf = flights_pandas(scramble)
     want = [(v,) for v in pdf[column]]
     dom, gid = group_domain(scramble, (column,))
-    groups, gid_m, _ = group_bitmap_matrix(scramble, (column,))
-    assert groups == dom == sorted(set(want))
+    index = group_bitmap_matrix(scramble, (column,))
+    assert index.keys == dom == sorted(set(want))
     assert [dom[i] for i in gid] == want
-    assert np.array_equal(gid_m, gid)
+    assert np.array_equal(index.codes, gid)
 
 
 def test_single_column_group_matrix(scramble):
     """A one-column GROUP BY shares its column's index as is."""
-    groups, gid, matrix = group_bitmap_matrix(scramble, ("Airline",))
+    index = group_bitmap_matrix(scramble, ("Airline",))
     bm = get_column_bitmap(scramble, "Airline")
-    assert groups == [(v,) for v in bm.values]
-    assert gid is bm.codes and matrix is bm.matrix
+    assert index is bm
+    assert index.keys == [(v,) for v in bm.values]
 
 
 def test_pair_matrix_is_exact(scramble):
     """F-q6's composite matrix marks exactly the blocks holding each pair."""
-    groups, _, matrix = group_bitmap_matrix(scramble, ("DayOfWeek", "Origin"))
+    index = group_bitmap_matrix(scramble, ("DayOfWeek", "Origin"))
+    groups, matrix = index.keys, index.matrix
     pdf = flights_pandas(scramble)[["DayOfWeek", "Origin"]]
     pdf = pdf.assign(block_id=_block_ids(scramble))
     expected = np.zeros_like(matrix)
@@ -92,7 +95,8 @@ def test_pair_matrix_is_exact(scramble):
 
 
 def test_matrix_shapes(scramble):
-    groups, gid, matrix = group_bitmap_matrix(scramble, ("Origin",))
+    index = group_bitmap_matrix(scramble, ("Origin",))
+    groups, gid, matrix = index.keys, index.codes, index.matrix
     assert gid.shape == (scramble.n_rows,)
     assert matrix.shape == (scramble.n_blocks, len(groups))
     assert matrix.dtype == bool
@@ -118,7 +122,8 @@ def test_pair_domain_with_absent_pairs():
     rows = _sparse_pairs()
     sc = frame_scramble(rows, block_size=10)
     pdf = rows.to_pandas()
-    groups, gid, matrix = group_bitmap_matrix(sc, ("DayOfWeek", "Origin"))
+    index = group_bitmap_matrix(sc, ("DayOfWeek", "Origin"))
+    groups, gid, matrix = index.keys, index.codes, index.matrix
     pairs = pdf[["DayOfWeek", "Origin"]].drop_duplicates()
     expected = sorted(pairs.itertuples(index=False, name=None))
     assert len(expected) < 7 * 5  # some pairs are absent
@@ -129,6 +134,7 @@ def test_pair_domain_with_absent_pairs():
     want = np.zeros((sc.n_blocks, len(groups)), dtype=bool)
     want[np.arange(len(pdf)) // 10, gid] = True
     assert np.array_equal(matrix, want)
+    _assert_counts(index)
 
 
 def test_pair_groupby_with_absent_pairs_is_exact():
@@ -166,3 +172,58 @@ def test_presence_short_last_block(n_rows):
     assert matrix.shape == (-(-n_rows // 10), 6)
     assert np.array_equal(matrix, want)
     assert np.flatnonzero(matrix[:, 5]).tolist() == [sc.n_blocks - 1]
+
+
+def _assert_counts(index):
+    """The index's counts are its matrix's column and row sums, as
+    read-only ``int32`` arrays."""
+    for counts, axis in ((index.block_counts, 0), (index.values_per_block, 1)):
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, index.matrix.sum(axis=axis))
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] += 1
+
+
+@pytest.mark.parametrize(
+    "key", ["Origin", "Airline", "DayOfWeek", ("DayOfWeek", "Origin"), ()]
+)
+def test_index_counts(scramble, key):
+    """Each column's index, the composite's and the one view's carry the
+    blocks holding each value and the values each block holds."""
+    if isinstance(key, str):
+        index = get_column_bitmap(scramble, key)
+    else:
+        index = group_bitmap_matrix(scramble, key)
+    _assert_counts(index)
+    assert index.matrix.shape == (scramble.n_blocks, len(index.values))
+
+
+def test_one_view_index(scramble):
+    """No GROUP BY: one view, in every block, with no per-row codes."""
+    index = group_bitmap_matrix(scramble, ())
+    assert index.keys == [()] and index.codes is None
+    assert index.matrix.shape == (scramble.n_blocks, 1) and index.matrix.all()
+    assert index.block_counts.tolist() == [scramble.n_blocks]
+
+
+def test_composite_index_built_once(monkeypatch):
+    """A composite key's index is built on first use and cached in the
+    scramble under its column tuple: a second lookup scatters nothing."""
+    sc = frame_scramble(_sparse_pairs(), block_size=10)
+    calls = []
+
+    def presence(*args):
+        calls.append(args[2])
+        return _presence(*args)
+
+    monkeypatch.setattr(bitmap, "_presence", presence)
+    key = ("DayOfWeek", "Origin")
+    first = group_bitmap_matrix(sc, key)
+    assert len(calls) == 3  # each column's index, then the composite's
+    assert group_bitmap_matrix(sc, list(key)) is first
+    assert len(calls) == 3
+    assert sc.bitmaps[key] is first and first.column == key
+    fresh = build_group_bitmap(sc, key)
+    assert fresh.keys == first.keys
+    assert np.array_equal(fresh.matrix, first.matrix)

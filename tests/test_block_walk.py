@@ -12,8 +12,11 @@ equal to the number of active groups in each block, and ``_Scan.fetch``
 ``remaining`` equal to each group's number of blocks still to fetch
 (for one view, which is in every block, the eligible blocks not yet
 fetched). The group matrix is block-major, ``[n_blocks, n_groups]``, as
-the engine's; with one group it is the all-ones column ``prepare``
-builds. Each fetch must fold exactly the picked blocks' rows, in pick
+the engine's; with one group it is the all-ones column of the one
+view's index. It is held, with its counts, in a ``ColumnBitmap``, as
+``prepare`` hands it over: ``remaining`` starts from the index's
+``block_counts`` when every block is eligible, and the first ``live``
+from its ``values_per_block`` when every group is active. Each fetch must fold exactly the picked blocks' rows, in pick
 order, a short last block included, whether the pick is one run of
 blocks (read as views, which are read-only) or gathered, and give the
 bytes of the ``bincount``/``ufunc.at`` fold for many groups, of
@@ -27,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.fastframe.bitmap import ColumnBitmap
 from repro.fastframe.engine import LOOKAHEAD_BLOCKS, _Scan, _blocks
 
 
@@ -80,16 +84,18 @@ def _case(seed):
     return rng, n, G, gmatrix, eligible, start
 
 
+def _prep(gmatrix, gid, rows, values):
+    """What ``_Scan`` reads of a ``Prep``: the group index of ``gmatrix``
+    and ``gid`` (its counts built as the engine's are), the predicate's
+    row mask and the measure."""
+    index = ColumnBitmap("g", list(range(gmatrix.shape[1])), gid, gmatrix)
+    return SimpleNamespace(index=index, rows=rows, values=values)
+
+
 def _scan(n, G, gmatrix, eligible, start, batch):
     """A ``_Scan`` over one-row blocks, for its walk and its counts."""
     scramble = SimpleNamespace(n_blocks=n, n_rows=n, block_size=1)
-    prep = SimpleNamespace(
-        groups=[()] * G,
-        gmatrix=gmatrix,
-        rows=np.ones(n, dtype=bool),
-        gid=np.zeros(n, dtype=np.int64),
-        values=np.zeros(n),
-    )
+    prep = _prep(gmatrix, np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.zeros(n))
     return _Scan(scramble, prep, eligible, start, batch)
 
 
@@ -234,13 +240,7 @@ def _check_fold(seed, masked, fold):
     zeros = (rng.random(R) < 0.2) | (rng.random(n) < 0.3)[block]
     values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
     gid = rng.integers(0, G, R)
-    prep = SimpleNamespace(
-        groups=[()] * G,
-        gmatrix=gmatrix,
-        rows=rows,
-        gid=gid if fold == "groups" else None,
-        values=values,
-    )
+    prep = _prep(gmatrix, gid if fold == "groups" else None, rows, values)
     scramble = SimpleNamespace(n_blocks=n, n_rows=R, block_size=bs)
     scan = _Scan(
         scramble, prep, eligible, start, LOOKAHEAD_BLOCKS, count_only=fold == "count"
@@ -294,24 +294,32 @@ def _check_fold(seed, masked, fold):
 def test_fetched_views_are_read_only(short):
     """A run of picked blocks is read as views of the by-block arrays and
     of the group matrix; a write to one raises, so no fold writes into the
-    column store or the prep, while those stay writable."""
+    column store or the index, while those stay writable. The index's
+    counts, which the scan copies, stay as they were."""
     rng = np.random.default_rng(0)
     n, G, bs = 10, 3, 4
     R = n * bs - short
-    prep = SimpleNamespace(
-        groups=[()] * G,
-        gmatrix=rng.random((n, G)) < 0.5,
-        rows=rng.random(R) < 0.7,
-        gid=rng.integers(0, G, R),
-        values=rng.normal(size=R),
+    gmatrix = rng.random((n, G)) < 0.5
+    gmatrix[:, 0] = True  # so an active scan takes the first blocks
+    prep = _prep(
+        gmatrix,
+        rng.integers(0, G, R),
+        rng.random(R) < 0.7,
+        rng.normal(size=R),
     )
+    index = prep.index
+    counts = index.block_counts.copy(), index.values_per_block.copy()
     scramble = SimpleNamespace(n_blocks=n, n_rows=R, block_size=bs)
     scan = _Scan(scramble, prep, np.ones(n, dtype=bool), 0, LOOKAHEAD_BLOCKS)
+    scan.set_active(np.ones(G, dtype=bool))
     np.testing.assert_array_equal(scan.fetch(3), [0, 1, 2])
+    scan.set_active(np.array([True, False, True]))
+    np.testing.assert_array_equal(index.block_counts, counts[0])
+    np.testing.assert_array_equal(index.values_per_block, counts[1])
     for a in (scan.values, scan.gid, scan.rows, scan.g8):
         view = _blocks(a, slice(0, 3))
         assert np.shares_memory(view, a)
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 0
-    for a in (prep.gmatrix, prep.rows, prep.gid, prep.values):
+    for a in (index.matrix, prep.rows, index.codes, prep.values):
         assert a.flags.writeable

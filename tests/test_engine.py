@@ -26,7 +26,12 @@ from repro.experiments.ground_truth import (
 )
 from repro.fastframe import engine
 from repro.fastframe import queries as Q
-from repro.fastframe.bitmap import build_column_bitmap, get_column_bitmap
+from repro.fastframe.bitmap import (
+    build_column_bitmap,
+    build_group_bitmap,
+    get_column_bitmap,
+    group_bitmap_matrix,
+)
 from repro.fastframe.count_sum_query import run_count_sum
 from repro.fastframe.engine import EngineConfig, prepare, run_query
 from repro.fastframe.scramble import build_store, scramble_from_store, shuffle
@@ -157,7 +162,7 @@ def test_view_size_bound_holds_under_active_scanning(monkeypatch):
     sc = scramble_from_store(build_store(shuffle(flights_table(sf=0.05, seed=11), 12)))
     spec = Q.fq5()
     prep = prepare(sc, spec)
-    view_size = np.bincount(prep.gid[prep.rows], minlength=len(prep.groups))
+    view_size = np.bincount(prep.index.codes[prep.rows], minlength=len(prep.groups))
     ci = engine.vectorized.ci
     too_small = []
 
@@ -442,7 +447,10 @@ def test_prep_does_not_sort(scramble, monkeypatch):
 
 
 def test_queries_leave_shared_index_unchanged(scramble):
-    """Prep hands out the bitmaps' arrays; no query may write to them."""
+    """Prep hands out the indexes' arrays; no query may write to them. The
+    scramble caches each column's index, F-q6's composite one and the one
+    view's, and after every strategy has run each still equals a fresh
+    build, counts included: a scan works on copies of the counts."""
     columns = {c: a.copy() for c, a in scramble.store.columns.items()}
     for make in Q.ALL_QUERIES.values():
         for strategy in STRATEGIES:
@@ -451,15 +459,42 @@ def test_queries_leave_shared_index_unchanged(scramble):
         for agg in ("COUNT", "SUM"):
             run_count_sum(scramble, view, agg, _cfg(), rel_eps=0.05)
 
-    assert set(scramble.bitmaps) == set(BITMAP_COLUMNS)
-    for bm in scramble.bitmaps.values():
-        fresh = build_column_bitmap(scramble, bm.column)
+    assert set(scramble.bitmaps) == {*BITMAP_COLUMNS, ("DayOfWeek", "Origin"), ()}
+    for key, bm in scramble.bitmaps.items():
+        if isinstance(key, str):
+            fresh = build_column_bitmap(scramble, key)
+        else:
+            fresh = build_group_bitmap(scramble, key)
+        assert bm.column == fresh.column == key
         assert bm.values == fresh.values
-        assert np.array_equal(bm.codes, fresh.codes)
-        assert np.array_equal(bm.matrix, fresh.matrix)
+        for name in ("codes", "matrix", "block_counts", "values_per_block"):
+            assert np.array_equal(getattr(bm, name), getattr(fresh, name)), name
     assert scramble.store.columns.keys() == columns.keys()
     for c, a in columns.items():
         assert np.array_equal(scramble.store.columns[c], a)
+
+
+@pytest.mark.parametrize("make", [Q.fq5, Q.fq6])
+@pytest.mark.parametrize("strategy", ["scan", "active_peek"])
+def test_grouped_scan_reads_no_whole_matrix(scramble, monkeypatch, make, strategy):
+    """A GROUP BY with every block eligible starts ``remaining`` and
+    ``live`` from its index's counts: no count of the loop reads the
+    whole ``[n_blocks, G]`` matrix, only the fetched blocks' rows and the
+    flipped groups' columns."""
+    spec = make()
+    index = group_bitmap_matrix(scramble, spec.group_cols)
+    whole = (scramble.n_blocks, len(index.values))
+    shapes = []
+    count_ones = engine.count_ones
+
+    def recorded(m8, axis):
+        shapes.append(m8.shape)
+        return count_ones(m8, axis)
+
+    monkeypatch.setattr(engine, "count_ones", recorded)
+    res = run_query(scramble, spec, _cfg(strategy=strategy))
+    assert res.rounds > 1 and shapes
+    assert whole not in shapes
 
 
 def _absent_views():
