@@ -95,7 +95,8 @@ def _prep(gmatrix, gid, rows, values):
 def _scan(n, G, gmatrix, eligible, start, batch):
     """A ``_Scan`` over one-row blocks, for its walk and its counts."""
     scramble = SimpleNamespace(n_blocks=n, n_rows=n, block_size=1)
-    prep = _prep(gmatrix, np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.zeros(n))
+    gid, rows = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    prep = _prep(gmatrix, gid, rows, np.zeros(n))
     return _Scan(scramble, prep, eligible, start, batch)
 
 

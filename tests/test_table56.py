@@ -129,6 +129,71 @@ def test_committed_results_have_the_one_schema():
             assert next(csv.reader(f)) == COLUMNS, path
 
 
+def _doc_rows(text, title):
+    """The ``| F-q…`` rows of the markdown table under ``## <title>``, as
+    lists of cells with the bold markers dropped."""
+    section = text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+    return [
+        [c.strip().replace("**", "") for c in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| F-q")
+    ]
+
+
+def _doc_numbers(cell, n):
+    """A cell's ``n`` numbers: ``a / b / …``, or ``all x`` for n equal ones."""
+    if cell.startswith("all "):
+        return [cell[4:]] * n
+    parts = [p.strip() for p in cell.split("/")]
+    assert len(parts) == n, cell
+    return parts
+
+
+def _agrees(shown, value):
+    """``shown`` is ``value`` rounded to the decimals it shows."""
+    decimals = len(shown.split(".")[1]) if "." in shown else 0
+    return abs(value - float(shown)) <= 0.5 * 10.0**-decimals + 1e-9
+
+
+def test_experiments_doc_matches_results():
+    """EXPERIMENTS.md's Table 5/6 "Ours" cells are ``results/``'s CSVs at
+    the doc's rounding: loop× is ``speedup_wall``, e2e× ``speedup_e2e``,
+    blocks× ``speedup_blocks`` and Table 6's probes ActivePeek's
+    ``index_probes`` over ActiveSync's."""
+    import pandas as pd
+
+    text = (RESULTS.parent / "EXPERIMENTS.md").read_text()
+    t5 = pd.read_csv(RESULTS / "table5.csv").set_index(["query", "approach"])
+    t6 = pd.read_csv(RESULTS / "table6.csv").set_index(["query", "approach"])
+    bounders = [label for label, _, _ in BOUNDER_CONFIGS]
+    checked = []
+    rows5 = _doc_rows(text, "Table 5")
+    assert [r[0] for r in rows5] == list(PAPER_TABLE5)
+    for query, _, loop, e2e, blocks in rows5:
+        for column, cell in (
+            ("speedup_wall", loop),
+            ("speedup_e2e", e2e),
+            ("speedup_blocks", blocks),
+        ):
+            for label, shown in zip(bounders, _doc_numbers(cell, 4)):
+                checked.append((shown, t5.loc[(query, label), column], query, label))
+    rows6 = _doc_rows(text, "Table 6")
+    assert [r[0] for r in rows6] == list(TABLE6_QUERIES)
+    active = ("ActiveSync", "ActivePeek")
+    for query, _, loop, e2e, blocks, probes in rows6:
+        for column, cell in (("speedup_wall", loop), ("speedup_e2e", e2e)):
+            for label, shown in zip(active, _doc_numbers(cell, 2)):
+                checked.append((shown, t6.loc[(query, label), column], query, label))
+        for label in active:
+            value = t6.loc[(query, label), "speedup_blocks"]
+            checked.append((blocks, value, query, label))
+        sync, peek = (t6.loc[(query, label), "index_probes"] for label in active)
+        checked.append((probes, peek / sync, query, "probes"))
+    assert len(checked) == 9 * 12 + 5 * 7
+    wrong = [c for c in checked if not _agrees(c[0], c[1])]
+    assert not wrong, wrong
+
+
 def test_format_flags_wrong_run_and_shows_paper_speedup(t6):
     wrong = t6.copy()
     wrong.loc[wrong.index[-1], "correct"] = False
