@@ -214,7 +214,7 @@ def test_composite_index_built_once(monkeypatch):
     calls = []
 
     def presence(*args):
-        calls.append(args[2])
+        calls.append(args)
         return _presence(*args)
 
     monkeypatch.setattr(bitmap, "_presence", presence)
